@@ -9,6 +9,7 @@ their outputs are directly comparable with the decentralized protocol.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -112,8 +113,13 @@ def zone_loads_of(
 # ── Initial design ───────────────────────────────────────────────────
 
 
+@functools.lru_cache(maxsize=1)
 def _ws_adjacency(graph: FloorGraph) -> dict[int, list[int]]:
-    """Workstations connectable without driving past a third workstation."""
+    """Workstations connectable without driving past a third workstation.
+
+    Depends on the graph alone, so it is computed once per graph; callers
+    must not modify the result.
+    """
     ws_ids = sorted(graph.workstations)
     anchors = {graph.anchor_of(w) for w in ws_ids}
     adj: dict[int, list[int]] = {w: [] for w in ws_ids}
@@ -348,6 +354,12 @@ def genome_of(partition: ZonePartition) -> tuple[int, ...]:
     return tuple(zone for _, zone in pairs)
 
 
+@functools.lru_cache(maxsize=1)
+def _seed_genome(graph: FloorGraph, nz: int) -> tuple[int, ...]:
+    """Genome of the initial design, computed once per graph and zone count."""
+    return genome_of(initial_partition(graph, nz))
+
+
 def _repair_genome(
     genome: Sequence[int],
     ws_ids: Sequence[int],
@@ -442,8 +454,10 @@ def decode_genome(
         segs: set[str] = set()
         root = graph.anchor_of(members[0])
         reached = {root}
+        # The zone's own segments come from paths over unclaimed aisles, so
+        # they never widen what it may use.
+        allowed = frozenset(graph.segments) - claimed
         for w in members[1:]:
-            allowed = frozenset(s for s in graph.segments if s not in claimed) | segs
             path = graph.shortest_path_points(graph.anchor_of(w), reached, allowed)
             if path is None:
                 return None
@@ -488,22 +502,24 @@ def ga_optimize(
     if initial_population is not None:
         population = [tuple(g) for g in initial_population]
     else:
-        seed_genome = genome_of(initial_partition(graph, nz))
+        seed_genome = _seed_genome(graph, nz)
         population = [seed_genome] + [
             mutate(seed_genome, max(config.mutation, 0.2))
             for _ in range(config.population - 1)
         ]
 
-    cache: dict[tuple[int, ...], tuple[float, ZonePartition | None]] = {}
+    # Fitness and validity per genome. Decoded partitions are not kept:
+    # decoding is deterministic, so the winner is decoded again at the end.
+    cache: dict[tuple[int, ...], tuple[float, bool]] = {}
 
-    def evaluate(genome: tuple[int, ...]) -> tuple[float, ZonePartition | None]:
+    def evaluate(genome: tuple[int, ...]) -> tuple[float, bool]:
         if genome not in cache:
             partition = decode_genome(graph, genome, nz, adj)
             if partition is None:
-                cache[genome] = (-math.inf, None)
+                cache[genome] = (-math.inf, False)
             else:
                 spread = load_spread(graph, partition, flow_source, velocity, handling)
-                cache[genome] = (-spread, partition)
+                cache[genome] = (-spread, True)
         return cache[genome]
 
     def ranked(pop: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -518,7 +534,7 @@ def ga_optimize(
     for gen in range(config.generations):
         order = ranked(population)
         top = order[0]
-        if evaluate(top)[0] > best_fit and evaluate(top)[1] is not None:
+        if evaluate(top)[0] > best_fit and evaluate(top)[1]:
             best_genome, best_fit = top, evaluate(top)[0]
             progress.append((gen, -best_fit))
         nxt = order[: config.elitism]
@@ -539,12 +555,12 @@ def ga_optimize(
         population = nxt
 
     for g in ranked(population):
-        fit, partition = evaluate(g)
-        if partition is not None and fit > best_fit:
+        fit, valid = evaluate(g)
+        if valid and fit > best_fit:
             best_genome, best_fit = g, fit
             progress.append((config.generations, -best_fit))
         break
-    partition = evaluate(best_genome)[1]
+    partition = decode_genome(graph, best_genome, nz, adj)
     assert partition is not None
     return BaselineResult(partition, -best_fit, progress)
 

@@ -9,7 +9,7 @@ is preserved while every estimate converges toward it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,27 +81,30 @@ class ConsensusResult:
 
 def run_consensus(
     loads: Sequence[float],
-    positions_at: Callable[[int], Sequence[Sequence[float]]],
+    positions: Sequence[Sequence[float]],
     comm_range: float,
     eps: float = 1e-4,
     max_steps: int = 500,
 ) -> ConsensusResult:
-    """Iterate consensus steps, re-sampling robot positions each step.
+    """Iterate consensus steps over the fleet at fixed positions.
 
-    positions_at(step) supplies the fleet positions used to rebuild the
-    communication graph for that step. Stops once every estimate is
-    within eps of the true mean load, or at max_steps; non-convergence
-    is reported through the returned spread, never raised.
+    The communication graph and its mixing matrix are built once for the
+    round. Stops once every estimate is within eps of the true mean load,
+    or at max_steps; non-convergence is reported through the returned
+    spread, never raised.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    state = ConsensusState(np.asarray(loads, dtype=float))
-    mean = float(state.values.mean()) if len(state.values) else 0.0
-    spread = float(np.abs(state.values - mean).max()) if len(state.values) else 0.0
+    values = np.asarray(loads, dtype=float)
+    graph = comm_graph(positions, comm_range)
+    if len(values) != graph.n:
+        raise DimensionMismatch(f"{len(values)} loads, {graph.n} positions")
+    w = metropolis_weights(graph)
+    mean = float(values.mean()) if len(values) else 0.0
+    spread = float(np.abs(values - mean).max()) if len(values) else 0.0
     steps = 0
     while spread >= eps and steps < max_steps:
-        graph = comm_graph(positions_at(steps), comm_range)
-        state = consensus_step(state, graph)
+        values = w @ values
         steps += 1
-        spread = float(np.abs(state.values - mean).max())
-    return ConsensusResult(state.values, steps, spread, spread < eps)
+        spread = float(np.abs(values - mean).max())
+    return ConsensusResult(values, steps, spread, spread < eps)

@@ -130,7 +130,6 @@ class DdzConfig:
     l_tol: float = 5.0  # tolerable |load - consensus| gap, minutes
     t_lt: float = 5.0  # violation duration that triggers redesign, minutes
     t_ac: float = 2.0  # consensus cadence, minutes
-    comm_range: float = 250.0  # feet
     episodes: int = 0  # 0: one episode per participating robot
     iterations: int = 0  # 0: spread the cooling schedule across all episodes
     iteration_minutes: float = 0.02  # simulated communication cost per iteration
@@ -138,8 +137,8 @@ class DdzConfig:
     literal_sigma: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.l_tol, self.t_lt, self.t_ac, self.comm_range) <= 0:
-            raise ValueError("l_tol, t_lt, t_ac, and comm_range must be positive")
+        if min(self.l_tol, self.t_lt, self.t_ac) <= 0:
+            raise ValueError("l_tol, t_lt, and t_ac must be positive")
         if self.episodes < 0 or self.iterations < 0 or self.iteration_minutes < 0:
             raise ValueError("episodes, iterations, iteration_minutes must be >= 0")
 
@@ -199,6 +198,7 @@ def ddz_optimize(
     graph: FloorGraph,
     partition: ZonePartition,
     positions: Mapping[int, tuple[float, float]],
+    comm_range: float,
     tasks: Sequence[QueuedPart],
     consensus_values: Mapping[int, float],
     origin: int,
@@ -210,12 +210,15 @@ def ddz_optimize(
 ) -> DdzResult:
     """Run the leader-rotating annealing search and return the adopted design.
 
+    The robots reached by flooding the start signal from origin over
+    links of at most comm_range feet take part.
+
     rng is the run's seeded random stream; every proposal, tip draw, and
     acceptance draw comes from it, so a fixed seed replays bit-identically.
     The trace records one entry per proposal with sigma before/after, the
     acceptance probability, and the drawn uniform.
     """
-    participants = sorted(propagate_start(origin, positions, config.comm_range))
+    participants = sorted(propagate_start(origin, positions, comm_range))
     if len(participants) < 2:
         raise NoNeighbors(f"robot {origin} has no neighbors in range")
 
@@ -226,7 +229,7 @@ def ddz_optimize(
             for other in participants
             if other != robot
             and math.hypot(positions[other][0] - qx, positions[other][1] - qy)
-            <= config.comm_range
+            <= comm_range
         ]
 
     episodes = config.episodes or len(participants)

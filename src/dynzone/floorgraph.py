@@ -54,7 +54,7 @@ class Workstation:
     processing_time: float  # minutes per part
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """An ordered segment walk with its total rectilinear length in feet."""
 
@@ -130,33 +130,43 @@ class FloorGraph:
             raise LayoutError("adjacency_threshold must be positive")
         self.adjacency_threshold = float(adjacency_threshold)
 
-        # Adjacency lists sorted by neighbor id for deterministic expansion.
-        self._adj: dict[str, list[tuple[str, str, float]]] = {pid: [] for pid in self.points}
+        # Neighbor lists over integer point ids numbered in sorted point-id
+        # order, so comparing id tuples orders routes exactly as comparing
+        # point-id strings does. Each list is sorted by neighbor id for
+        # deterministic expansion.
+        self._ids: list[str] = sorted(self.points)
+        self._index: dict[str, int] = {pid: i for i, pid in enumerate(self._ids)}
+        self._nbrs: list[list[tuple[int, str, float]]] = [[] for _ in self._ids]
         for seg in self.segments.values():
-            self._adj[seg.a].append((seg.b, seg.id, seg.length))
-            self._adj[seg.b].append((seg.a, seg.id, seg.length))
-        for lst in self._adj.values():
+            a, b = self._index[seg.a], self._index[seg.b]
+            self._nbrs[a].append((b, seg.id, seg.length))
+            self._nbrs[b].append((a, seg.id, seg.length))
+        for lst in self._nbrs:
             lst.sort()
+        # Unrestricted queries, memoized by (source, *sorted targets); the
+        # graph is immutable, so each answer holds for the graph's lifetime.
+        self._free_paths: dict[tuple[str, ...], Path | None] = {}
+        self._free_distances: dict[tuple[str, ...], dict[str, float]] = {}
 
         self._validate_connected()
         for ws in self.workstations.values():
-            if not self._adj[ws.anchor]:
+            if not self._nbrs[self._index[ws.anchor]]:
                 raise LayoutError(f"workstation {ws.id} anchor has no incident segment")
 
     def _validate_connected(self) -> None:
         if not self.points:
             raise LayoutError("graph has no points")
-        start = next(iter(self.points))
+        start = self._index[next(iter(self.points))]
         seen = {start}
         stack = [start]
         while stack:
             cur = stack.pop()
-            for nbr, _, _ in self._adj[cur]:
+            for nbr, _, _ in self._nbrs[cur]:
                 if nbr not in seen:
                     seen.add(nbr)
                     stack.append(nbr)
         if len(seen) != len(self.points):
-            missing = sorted(set(self.points) - seen)
+            missing = sorted(set(self.points) - {self._ids[i] for i in seen})
             raise LayoutError(f"graph is disconnected; unreachable points: {missing[:5]}")
 
     # ── Basic queries ────────────────────────────────────────────────
@@ -197,32 +207,58 @@ class FloorGraph:
             raise LayoutError(f"unknown point {source!r}")
         if source in targets:
             return Path((), 0.0, (source,))
-        dist: dict[str, float] = {source: 0.0}
-        route: dict[str, tuple[str, ...]] = {source: (source,)}
-        segs: dict[str, tuple[str, ...]] = {source: ()}
-        done: set[str] = set()
-        heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
+        if allowed_segments is not None:
+            return self._nearest(source, targets, allowed_segments)
+        key = (source, *sorted(targets))
+        if key not in self._free_paths:
+            self._free_paths[key] = self._nearest(source, targets, None)
+        return self._free_paths[key]
+
+    def _nearest(
+        self,
+        source: str,
+        targets: set[str] | frozenset[str],
+        allowed_segments: set[str] | frozenset[str] | None,
+    ) -> Path | None:
+        ids = self._ids
+        nbrs = self._nbrs
+        start = self._index[source]
+        dist: list[float | None] = [None] * len(ids)
+        route: list[tuple[int, ...] | None] = [None] * len(ids)
+        via: list[str | None] = [None] * len(ids)  # segment each route ends on
+        done = [False] * len(ids)
+        dist[start] = 0.0
+        route[start] = (start,)
+        heap: list[tuple[float, tuple[int, ...]]] = [(0.0, route[start])]
         while heap:
             d, r = heapq.heappop(heap)
             cur = r[-1]
-            if cur in done or r != route.get(cur):
+            # Each route tuple is pushed once, so a popped entry is current
+            # exactly when it is the very tuple recorded for its end point.
+            if done[cur] or r is not route[cur]:
                 continue
-            done.add(cur)
-            if cur in targets:
-                return Path(segs[cur], d, route[cur])
-            for nbr, sid, length in self._adj[cur]:
+            done[cur] = True
+            if ids[cur] in targets:
+                return Path(tuple(via[i] for i in r[1:]), d, tuple(ids[i] for i in r))
+            for nbr, sid, length in nbrs[cur]:
                 if allowed_segments is not None and sid not in allowed_segments:
                     continue
-                if nbr in done:
+                if done[nbr]:
                     continue
                 nd = d + length
-                old = dist.get(nbr)
-                nr = route[cur] + (nbr,)
-                if old is None or nd < old - 1e-9 or (abs(nd - old) <= 1e-9 and nr < route[nbr]):
-                    dist[nbr] = nd
-                    route[nbr] = nr
-                    segs[nbr] = segs[cur] + (sid,)
-                    heapq.heappush(heap, (nd, nr))
+                old = dist[nbr]
+                if old is None or nd < old - 1e-9:
+                    nr = r + (nbr,)
+                elif abs(nd - old) <= 1e-9:
+                    nr = r + (nbr,)
+                    if not nr < route[nbr]:
+                        continue
+                else:
+                    continue
+                dist[nbr] = nd
+                route[nbr] = nr
+                via[nbr] = sid
+                heapq.heappush(heap, (nd, nr))
         return None
 
     def shortest_path(
@@ -266,27 +302,45 @@ class FloorGraph:
         """
         if source not in self.points:
             raise LayoutError(f"unknown point {source!r}")
+        if allowed_segments is not None:
+            return self._sweep(source, targets, allowed_segments)
+        key = (source, *sorted(targets))
+        if key not in self._free_distances:
+            self._free_distances[key] = self._sweep(source, targets, None)
+        return dict(self._free_distances[key])
+
+    def _sweep(
+        self,
+        source: str,
+        targets: set[str] | frozenset[str],
+        allowed_segments: set[str] | frozenset[str] | None,
+    ) -> dict[str, float]:
+        ids = self._ids
+        nbrs = self._nbrs
         remaining = set(targets)
         out: dict[str, float] = {}
         if source in remaining:
             out[source] = 0.0
             remaining.discard(source)
-        dist: dict[str, float] = {source: 0.0}
-        heap: list[tuple[float, str]] = [(0.0, source)]
-        done: set[str] = set()
+        start = self._index[source]
+        dist = [math.inf] * len(ids)
+        done = [False] * len(ids)
+        dist[start] = 0.0
+        heap: list[tuple[float, int]] = [(0.0, start)]
         while heap and remaining:
             d, cur = heapq.heappop(heap)
-            if cur in done:
+            if done[cur]:
                 continue
-            done.add(cur)
-            if cur in remaining:
-                out[cur] = d
-                remaining.discard(cur)
-            for nbr, sid, length in self._adj[cur]:
+            done[cur] = True
+            pid = ids[cur]
+            if pid in remaining:
+                out[pid] = d
+                remaining.discard(pid)
+            for nbr, sid, length in nbrs[cur]:
                 if allowed_segments is not None and sid not in allowed_segments:
                     continue
                 nd = d + length
-                if nbr not in done and nd < dist.get(nbr, math.inf):
+                if not done[nbr] and nd < dist[nbr]:
                     dist[nbr] = nd
                     heapq.heappush(heap, (nd, nbr))
         return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import deque
 import random
 import statistics
 from dataclasses import dataclass
@@ -86,6 +87,8 @@ class SimConfig:
             raise ValueError("velocity must be > 0")
         if self.n_robots < 1:
             raise ValueError("n_robots must be >= 1")
+        if self.comm_range <= 0:
+            raise ValueError("comm_range must be > 0")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
 
@@ -113,7 +116,6 @@ class SimConfig:
                 l_tol=data["l_tol_minutes"],
                 t_lt=data["t_lt_minutes"],
                 t_ac=data["t_ac_minutes"],
-                comm_range=data["comm_range_feet"],
                 **data["ddz"],
             ),
             schedule=AnnealingSchedule(**data["schedule"]),
@@ -224,7 +226,7 @@ class Simulation:
             )
             for z in self.partition.zones
         }
-        self.ws_queue: dict[int, list[int]] = {w: [] for w in graph.workstations}
+        self.ws_queue: dict[int, deque[int]] = {w: deque() for w in graph.workstations}
         self.ws_busy: dict[int, int | None] = {w: None for w in graph.workstations}
         self.window = PartHistoryWindow(config.window_minutes)
         self.history: dict[int, list[tuple[float, float, float]]] = {
@@ -236,6 +238,7 @@ class Simulation:
         # repair: None, or dict with phase "pausing"/"scheduled" plus payload.
         self.repair: dict | None = None
         self.events: list[dict] = []
+        self._done = 0
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._seq = 0
         self.now = 0.0
@@ -249,9 +252,6 @@ class Simulation:
     def _log(self, kind: str, **payload) -> None:
         self.events.append({"t": round(self.now, 9), "kind": kind, **payload})
 
-    def _done_count(self) -> int:
-        return sum(1 for p in self.parts.values() if p.state == "done")
-
     # ── Run loop ─────────────────────────────────────────────────────
 
     def run(self) -> list[dict]:
@@ -264,17 +264,17 @@ class Simulation:
             t, _, kind, payload = heapq.heappop(self._heap)
             if t > self.config.time_cap:
                 self.now = self.config.time_cap
-                self._log("time-cap", completed=self._done_count())
+                self._log("time-cap", completed=self._done)
                 break
             self.now = t
             getattr(self, "_on_" + kind.replace("-", "_"))(*payload)
-            if self._done_count() == len(self.parts):
+            if self._done == len(self.parts):
                 break
         else:
-            if self._done_count() < len(self.parts):
+            if self._done < len(self.parts):
                 raise DeadlockDetected(
                     f"no schedulable event with "
-                    f"{len(self.parts) - self._done_count()} parts in flight"
+                    f"{len(self.parts) - self._done} parts in flight"
                 )
         return self.events
 
@@ -282,7 +282,7 @@ class Simulation:
 
     def _ws_start(self, ws: int) -> None:
         if self.ws_busy[ws] is None and self.ws_queue[ws]:
-            pid = self.ws_queue[ws].pop(0)
+            pid = self.ws_queue[ws].popleft()
             self.ws_busy[ws] = pid
             duration = self.graph.workstation(ws).processing_time
             self._schedule(self.now + duration, "proc-done", ws, pid)
@@ -304,6 +304,7 @@ class Simulation:
         if part.cursor == len(part.route):
             part.state = "done"
             part.done_at = self.now
+            self._done += 1
             self._log("part-done", part=pid)
             return
         part.state = "waiting"
@@ -420,7 +421,7 @@ class Simulation:
             positions = [self.robots[r].position_at(self.now, self.graph) for r in ids]
             res = run_consensus(
                 [loads[r] for r in ids],
-                lambda step: positions,
+                positions,
                 cfg.comm_range,
                 eps=cfg.consensus_eps,
                 max_steps=cfg.consensus_max_steps,
@@ -448,7 +449,7 @@ class Simulation:
             ]
             if triggered:
                 self._start_repair(min(triggered))
-        if self._done_count() < len(self.parts):
+        if self._done < len(self.parts):
             self._schedule(self.now + cfg.t_ac, "consensus")
 
     def _start_repair(self, origin: int) -> None:
@@ -519,6 +520,7 @@ class Simulation:
                 self.graph,
                 self.partition,
                 positions,
+                cfg.comm_range,
                 self._queued_tasks(),
                 dict(self.latest_x),
                 origin,

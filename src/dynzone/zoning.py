@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -56,6 +57,15 @@ class Zone:
 
 @dataclass(frozen=True)
 class ZonePartition:
+    """An immutable zone design.
+
+    Lookups derived from it (zone by id, zone of each workstation,
+    neighbors, stations, unassigned and allowed segments, station
+    distances) are computed on first use and kept on the instance. They
+    are not fields, so equality, hashing and serialization see only the
+    design itself.
+    """
+
     zones: tuple[Zone, ...]
     transfer_stations: tuple[TransferStation, ...] = ()
     design_id: int = 0
@@ -64,17 +74,56 @@ class ZonePartition:
     def nz(self) -> int:
         return len(self.zones)
 
-    def zone(self, zone_id: int) -> Zone:
+    @cached_property
+    def _zone_by_id(self) -> dict[int, Zone]:
+        out: dict[int, Zone] = {}
         for z in self.zones:
-            if z.id == zone_id:
-                return z
-        raise KeyError(f"no zone {zone_id}")
+            out.setdefault(z.id, z)
+        return out
+
+    @cached_property
+    def _zone_of_ws(self) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for z in self.zones:
+            for ws in z.workstations:
+                out.setdefault(ws, z.id)
+        return out
+
+    @cached_property
+    def _neighbors(self) -> dict[int, tuple[int, ...]]:
+        out: dict[int, set[int]] = {}
+        for ts in self.transfer_stations:
+            for zid in ts.zones():
+                out.setdefault(zid, set()).add(
+                    ts.station_zone if ts.path_zone == zid else ts.path_zone
+                )
+        return {zid: tuple(sorted(nbrs)) for zid, nbrs in out.items()}
+
+    @cached_property
+    def _stations(self) -> dict[int, tuple[int, ...]]:
+        out: dict[int, tuple[int, ...]] = {}
+        for zid, z in self._zone_by_id.items():
+            extra = {
+                ts.ws
+                for ts in self.transfer_stations
+                if ts.path_zone == zid and ts.ws not in z.workstations
+            }
+            out[zid] = tuple(z.workstations) + tuple(sorted(extra))
+        return out
+
+    @cached_property
+    def _per_graph(self) -> dict[tuple, object]:
+        """Graph-dependent lookups, keyed by (lookup, graph, zone id)."""
+        return {}
+
+    def zone(self, zone_id: int) -> Zone:
+        try:
+            return self._zone_by_id[zone_id]
+        except KeyError:
+            raise KeyError(f"no zone {zone_id}") from None
 
     def zone_of_ws(self, ws: int) -> int | None:
-        for z in self.zones:
-            if ws in z.workstations:
-                return z.id
-        return None
+        return self._zone_of_ws.get(ws)
 
     def assigned_segments(self) -> frozenset[str]:
         out: set[str] = set()
@@ -83,17 +132,17 @@ class ZonePartition:
         return frozenset(out)
 
     def unassigned_segments(self, graph: FloorGraph) -> frozenset[str]:
-        return frozenset(graph.segments) - self.assigned_segments()
+        key = ("unassigned", graph, None)
+        if key not in self._per_graph:
+            self._per_graph[key] = frozenset(graph.segments) - self.assigned_segments()
+        return self._per_graph[key]
 
     def stations_of_zone(self, zone_id: int) -> tuple[int, ...]:
         """Primary workstations plus the zone's transfer stations."""
-        z = self.zone(zone_id)
-        extra = [
-            ts.ws
-            for ts in self.transfer_stations
-            if ts.path_zone == zone_id and ts.ws not in z.workstations
-        ]
-        return tuple(list(z.workstations) + sorted(set(extra)))
+        try:
+            return self._stations[zone_id]
+        except KeyError:
+            raise KeyError(f"no zone {zone_id}") from None
 
     def allowed_segments(self, graph: FloorGraph, zone_id: int) -> frozenset[str]:
         """Segments a robot confined to this zone may traverse.
@@ -101,22 +150,45 @@ class ZonePartition:
         Its own primary segments, connecting paths it absorbed, and
         segments not claimed by any zone.
         """
-        z = self.zone(zone_id)
-        allowed = set(z.segments) | set(self.unassigned_segments(graph))
-        for ts in self.transfer_stations:
-            if ts.path_zone == zone_id:
-                allowed.update(ts.path)
-        return frozenset(allowed)
+        key = ("allowed", graph, zone_id)
+        if key not in self._per_graph:
+            allowed = set(self.zone(zone_id).segments) | self.unassigned_segments(graph)
+            for ts in self.transfer_stations:
+                if ts.path_zone == zone_id:
+                    allowed.update(ts.path)
+            self._per_graph[key] = frozenset(allowed)
+        return self._per_graph[key]
+
+    def station_distances(self, graph: FloorGraph, zone_id: int) -> dict[tuple[int, int], float]:
+        """Path distances in feet between every ordered pair of the zone's
+        stations, over the zone's allowed segments.
+
+        Raises NoFeasiblePath when two stations are disconnected there.
+        The returned dict is shared by every caller and must not be modified.
+        """
+        key = ("distances", graph, zone_id)
+        if key not in self._per_graph:
+            stations = self.stations_of_zone(zone_id)
+            allowed = self.allowed_segments(graph, zone_id)
+            anchors = {i: graph.anchor_of(i) for i in stations}
+            targets = frozenset(anchors.values())
+            d: dict[tuple[int, int], float] = {}
+            for i in stations:
+                reached = graph.distances_from(anchors[i], targets, allowed)
+                for j in stations:
+                    if anchors[j] not in reached:
+                        raise NoFeasiblePath(
+                            f"stations WS{i} and WS{j} are disconnected inside zone {zone_id}"
+                        )
+                    d[(i, j)] = reached[anchors[j]]
+            self._per_graph[key] = d
+        return self._per_graph[key]
 
     def transfer_stations_between(self, a: int, b: int) -> tuple[TransferStation, ...]:
         return tuple(ts for ts in self.transfer_stations if ts.connects(a, b))
 
     def neighbor_zones(self, zone_id: int) -> tuple[int, ...]:
-        out = set()
-        for ts in self.transfer_stations:
-            if zone_id in ts.zones():
-                out.add(ts.station_zone if ts.path_zone == zone_id else ts.path_zone)
-        return tuple(sorted(out))
+        return self._neighbors.get(zone_id, ())
 
 
 @dataclass(frozen=True)
@@ -379,29 +451,29 @@ def find_transfer_stations(
     abp = frozenset(
         set(za.segments) | set(zb.segments) | set(partition.unassigned_segments(graph))
     )
+    # The connecting paths do not change as pairs are consumed, so taking
+    # the keys in sorted order equals taking the minimum over the unused
+    # pairs round by round.
+    keys: list[tuple[float, int, int, tuple[str, ...], int, int]] = []
+    for wa, wb in pairs:
+        try:
+            path = graph.shortest_path(wa, wb, abp)
+        except NoFeasiblePath:
+            continue
+        keys.append((path.distance, min(wa, wb), max(wa, wb), path.segments, wa, wb))
+    keys.sort()
+    if loads.get(alpha, 0.0) >= loads.get(beta, 0.0):
+        station_zone, path_zone = alpha, beta
+    else:
+        station_zone, path_zone = beta, alpha
     used: set[int] = set()
     out: list[TransferStation] = []
-    while True:
-        best: tuple[float, int, int, tuple[str, ...], int, int] | None = None
-        for wa, wb in pairs:
-            if wa in used or wb in used:
-                continue
-            try:
-                path = graph.shortest_path(wa, wb, abp)
-            except NoFeasiblePath:
-                continue
-            key = (path.distance, min(wa, wb), max(wa, wb), path.segments, wa, wb)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            break
-        _, _, _, path_segs, wa, wb = best
+    for _, _, _, path_segs, wa, wb in keys:
+        if wa in used or wb in used:
+            continue
         used.add(wa)
         used.add(wb)
-        if loads.get(alpha, 0.0) >= loads.get(beta, 0.0):
-            station, station_zone, path_zone = wa, alpha, beta
-        else:
-            station, station_zone, path_zone = wb, beta, alpha
+        station = wa if station_zone == alpha else wb
         out.append(TransferStation(station, path_segs, station_zone, path_zone))
     return tuple(out)
 
@@ -476,34 +548,30 @@ def zone_load(
     if velocity <= 0:
         raise ZeroVelocity("velocity must be > 0")
     stations = partition.stations_of_zone(zone_id)
-    allowed = partition.allowed_segments(graph, zone_id)
+    d = partition.station_distances(graph, zone_id)
 
-    anchors = {i: graph.anchor_of(i) for i in stations}
-    targets = frozenset(anchors.values())
-    d: dict[tuple[int, int], float] = {}
-    for i in stations:
-        reached = graph.distances_from(anchors[i], targets, allowed)
-        for j in stations:
-            if anchors[j] not in reached:
-                raise NoFeasiblePath(
-                    f"stations WS{i} and WS{j} are disconnected inside zone {zone_id}"
-                )
-            d[(i, j)] = reached[anchors[j]]
-
+    # Per-station in- and outflow in one pass; each sum adds its terms in
+    # flow insertion order, as FlowMatrix.inflow and outflow do.
+    inflows: dict[int, list[float]] = {i: [] for i in stations}
+    outflows: dict[int, list[float]] = {i: [] for i in stations}
+    for (src, dst), c in flows.items():
+        if dst in inflows:
+            inflows[dst].append(c)
+        if src in outflows:
+            outflows[src].append(c)
+    inflow = {i: sum(cs) for i, cs in inflows.items()}
+    outflow = {i: sum(cs) for i, cs in outflows.items()}
     total = flows.total()
-    inflow = {i: flows.inflow(i) for i in stations}
-    outflow = {i: flows.outflow(i) for i in stations}
-    g: dict[tuple[int, int], float] = {}
-    da: dict[tuple[int, int], float] = {}
-    db: dict[tuple[int, int], float] = {}
-    for i in stations:
-        for j in stations:
-            gij = (inflow[i] * outflow[j] / total) if total > 0 else 0.0
-            g[(i, j)] = gij
-            da[(i, j)] = gij * d[(i, j)]
-            db[(i, j)] = flows.get(i, j) * d[(i, j)]
+    pairs = list(d)  # (i, j) in station order
+    if total > 0:
+        g = {(i, j): inflow[i] * outflow[j] / total for i, j in pairs}
+    else:
+        g = dict.fromkeys(pairs, 0.0)
+    f = flows.get
+    da = {ij: g[ij] * d[ij] for ij in pairs}
+    db = {(i, j): f(i, j) * d[(i, j)] for i, j in pairs}
     load = (sum(da.values()) + sum(db.values())) / velocity + total * handling.total
-    return LoadBreakdown(stations, d, g, da, db, total, load)
+    return LoadBreakdown(stations, dict(d), g, da, db, total, load)
 
 
 # ── Validation ───────────────────────────────────────────────────────

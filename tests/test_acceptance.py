@@ -8,6 +8,7 @@ the trend, validity, and determinism criteria.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import statistics
 import time
@@ -153,7 +154,7 @@ def test_criterion_02_consensus_on_random_geometric_graphs():
         loads = [rng.uniform(0, 60) for _ in range(n)]
         mean = sum(loads) / n
         result = run_consensus(
-            loads, lambda step: positions, comm_range=45.0, eps=1e-6, max_steps=500
+            loads, positions, comm_range=45.0, eps=1e-6, max_steps=500
         )
         assert result.converged and result.steps <= 500
         assert max(abs(v - mean) for v in result.values) < 1e-6
@@ -291,12 +292,12 @@ def _symmetric_source(graph):
 
 def _ddz_run(graph, partition, tasks, seed, k, episodes=0, iterations=0):
     positions = {1: (10.0, 0.0), 2: (60.0, 0.0), 3: (110.0, 0.0)}
-    config = DdzConfig(comm_range=200.0, episodes=episodes, iterations=iterations)
+    config = DdzConfig(episodes=episodes, iterations=iterations)
     schedule = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=30, k=k)
     loads = fleet_loads(graph, partition, tasks, velocity=100.0, handling=HANDLING)
     mean = sum(loads.values()) / len(loads)
     return ddz_optimize(
-        graph, partition, positions, tasks, {z: mean for z in loads}, 1,
+        graph, partition, positions, 200.0, tasks, {z: mean for z in loads}, 1,
         config, schedule, random.Random(seed), 100.0, HANDLING,
     )
 
@@ -456,6 +457,21 @@ def test_criterion_09_determinism_and_exact_replay(matrix):
         )
         assert replayed.to_json() == run.report.to_json()
     _ok(9, "byte-identical logs for identical seeds; replay reproduces every report exactly")
+
+
+# First 16 hex digits of sha256(log_to_jsonl(events)) for the shipped seed-1
+# runs. Speed-ups must leave every event log byte-identical.
+SEED1_FINGERPRINTS = {
+    "ddz": "62ae727634abab5d",
+    "sa": "d3425ded5e6c124a",
+    "ga": "ea37598c0c2b4279",
+}
+
+
+def test_seed1_event_log_fingerprints(matrix):
+    for method, expect in SEED1_FINGERPRINTS.items():
+        text = log_to_jsonl(matrix.runs[(method, 1)].events)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == expect, method
 
 
 def test_criterion_10_shared_transfer_station_fixture():

@@ -71,7 +71,7 @@ def test_dimension_mismatch():
 
 
 def test_single_robot_immediate():
-    res = run_consensus([12.5], lambda t: [(0.0, 0.0)], comm_range=1.0)
+    res = run_consensus([12.5], [(0.0, 0.0)], comm_range=1.0)
     assert res.converged
     assert res.steps == 0
     assert res.values[0] == 12.5
@@ -79,7 +79,7 @@ def test_single_robot_immediate():
 
 def test_triangle_converges_to_mean():
     res = run_consensus(
-        [10.0, 20.0, 60.0], lambda t: TRIANGLE, comm_range=12.0, eps=1e-6
+        [10.0, 20.0, 60.0], TRIANGLE, comm_range=12.0, eps=1e-6
     )
     assert res.converged
     assert np.allclose(res.values, 30.0, atol=1e-6)
@@ -87,7 +87,7 @@ def test_triangle_converges_to_mean():
 
 def test_disconnected_pair_keeps_values():
     res = run_consensus(
-        [5.0, 25.0], lambda t: [(0.0, 0.0), (100.0, 0.0)], comm_range=10.0, max_steps=50
+        [5.0, 25.0], [(0.0, 0.0), (100.0, 0.0)], comm_range=10.0, max_steps=50
     )
     assert not res.converged
     assert np.allclose(res.values, [5.0, 25.0])

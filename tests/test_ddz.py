@@ -155,7 +155,7 @@ POSITIONS = {1: (10.0, 0.0), 2: (60.0, 0.0), 3: (110.0, 0.0)}
 
 
 def _run(graph, partition, tasks, seed, episodes=0, iterations=0, k=1.0):
-    config = DdzConfig(comm_range=200.0, episodes=episodes, iterations=iterations)
+    config = DdzConfig(episodes=episodes, iterations=iterations)
     schedule = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=30, k=k)
     loads = fleet_loads(graph, partition, tasks, velocity=100.0, handling=HANDLING)
     mean = sum(loads.values()) / len(loads)
@@ -164,6 +164,7 @@ def _run(graph, partition, tasks, seed, episodes=0, iterations=0, k=1.0):
         graph,
         partition,
         POSITIONS,
+        200.0,
         tasks,
         consensus,
         origin=1,
@@ -240,13 +241,14 @@ def test_seeded_runs_are_bit_identical(dumbbell, three_zones):
 
 
 def test_no_neighbors_raises(dumbbell, three_zones):
-    config = DdzConfig(comm_range=5.0)
+    config = DdzConfig()
     schedule = AnnealingSchedule()
     with pytest.raises(NoNeighbors):
         ddz_optimize(
             dumbbell,
             three_zones,
             POSITIONS,
+            5.0,
             [],
             {1: 0.0, 2: 0.0, 3: 0.0},
             origin=1,

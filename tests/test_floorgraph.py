@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from dynzone.errors import LayoutError, NoFeasiblePath, UnknownWorkstation
 from dynzone.floorgraph import JUNCTION, WS_ANCHOR, FloorGraph
+from tests import reference_dijkstra
 from tests.conftest import build_graph
 
 
@@ -174,3 +176,54 @@ def test_roundtrip_json(twozone_graph, tmp_path):
     twozone_graph.save(path)
     loaded = FloorGraph.load(path)
     assert loaded.to_json() == twozone_graph.to_json()
+
+
+def _tie_grid(seed: int) -> FloorGraph:
+    """A junction grid whose aisle lengths mix 10 ft with 0.1-0.3 ft steps.
+
+    Many routes tie in length, some only within floating-point rounding,
+    and point ids such as P10 and P2 sort differently as strings than as
+    numbers.
+    """
+    rng = random.Random(seed)
+    cols, rows = 7, 5
+    xs = list(itertools.accumulate(rng.choice([0.1, 0.2, 0.3, 10.0]) for _ in range(cols)))
+    ys = list(itertools.accumulate(rng.choice([0.1, 0.2, 0.3, 10.0]) for _ in range(rows)))
+    anchors = set(rng.sample(range(cols * rows), 6))
+    points = [
+        (f"P{r * cols + c}", xs[c], ys[r], WS_ANCHOR if r * cols + c in anchors else JUNCTION)
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    segments = [
+        (f"P{r * cols + c}", f"P{r * cols + c + 1}") for r in range(rows) for c in range(cols - 1)
+    ] + [
+        (f"P{r * cols + c}", f"P{(r + 1) * cols + c}") for r in range(rows - 1) for c in range(cols)
+    ]
+    workstations = [(i + 1, f"P{a}", 1.0) for i, a in enumerate(sorted(anchors))]
+    return build_graph(points, segments, workstations, threshold=30)
+
+
+@pytest.mark.parametrize("name", ["layout18", "fig2", "grid-3", "grid-4"])
+def test_searches_match_string_keyed_reference(name):
+    from dynzone.datafiles import load_layout
+
+    g = _tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
+    rng = random.Random(name)
+    point_ids = sorted(g.points)
+    segment_ids = sorted(g.segments)
+    for _ in range(150):
+        keep = rng.choice([None, 0.5, 0.8, 1.0])
+        allowed = None if keep is None else {s for s in segment_ids if rng.random() < keep}
+        source = rng.choice(point_ids)
+        targets = set(rng.sample(point_ids, rng.randint(1, 4)))
+        if rng.random() < 0.1:
+            targets.add(source)
+        expect_path = reference_dijkstra.shortest_path_points(g, source, targets, allowed)
+        expect_dists = reference_dijkstra.distances_from(g, source, targets, allowed)
+        # Twice, so that memoized unrestricted answers are compared as well.
+        for _ in range(2):
+            assert g.shortest_path_points(source, targets, allowed) == expect_path
+            got = g.distances_from(source, targets, allowed)
+            assert got == expect_dists
+            got.clear()  # a caller's edits must not reach the memo

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import pytest
 
+from dynzone import simengine
 from dynzone.datafiles import load_config, load_layout, load_scenario
+from dynzone.ddz import ddz_optimize
 from dynzone.errors import DeadlockDetected, LayoutError
 from dynzone.simengine import (
     MetricsReport,
@@ -57,7 +59,29 @@ def test_config_from_shipped_json():
     assert cfg.velocity == 200.0
     assert cfg.n_robots == 3
     assert cfg.method == "ddz" and cfg.seed == 7
-    assert cfg.ddz.comm_range == cfg.comm_range
+    assert cfg.comm_range == 250.0
+
+
+def test_comm_range_has_one_source(desk, monkeypatch):
+    """A config built with comm_range=100 floods the repair start signal at
+    100 ft both where the simulation starts a repair and inside ddz."""
+    cfg = SimConfig(comm_range=100.0, method="ddz", n_robots=3)
+    sim = Simulation(desk, [], cfg)
+    # Robots 1 and 2 are 40 ft apart; robot 3 is 170-200 ft from both.
+    for robot, ws in ((1, 1), (2, 2), (3, 16)):
+        sim.robots[robot].point = desk.anchor_of(ws)
+    flooded = []
+
+    def spy(*args, **kwargs):
+        result = ddz_optimize(*args, **kwargs)
+        flooded.append(result.participants)
+        return result
+
+    monkeypatch.setattr(simengine, "ddz_optimize", spy)
+    sim._start_repair(1)
+    start = next(e for e in sim.events if e["kind"] == "ddz-start")
+    assert start["participants"] == [1, 2]
+    assert flooded == [(1, 2)]
 
 
 def test_expand_scenario_quantities():

@@ -29,6 +29,7 @@ from dynzone.zoning import (
     validate_partition,
     zone_load,
 )
+from tests import reference_dijkstra
 from tests.conftest import build_graph
 
 NO_HANDLING = HandlingTimes(0.0, 0.0)
@@ -212,6 +213,8 @@ def test_feasible_path_matches_enumeration_on_grid():
         | partition.unassigned_segments(g)
     )
 
+    adj = reference_dijkstra.adjacency(g)
+
     def enumerate_paths(src, dst):
         best = None
         stack = [(src, 0.0, {src})]
@@ -220,7 +223,7 @@ def test_feasible_path_matches_enumeration_on_grid():
             if cur == dst:
                 best = d if best is None else min(best, d)
                 continue
-            for nbr, sid, length in g._adj[cur]:
+            for nbr, sid, length in adj[cur]:
                 if sid in allowed and nbr not in seen:
                     stack.append((nbr, d + length, seen | {nbr}))
         return best
@@ -422,3 +425,105 @@ def test_partition_roundtrip(twozone_graph, twozone_partition):
     again = partition_from_json(data)
     assert again == full
     assert partition_to_json(again) == data
+
+
+# ── Cached partition lookups ─────────────────────────────────────────
+
+
+def _scanned_lookups(graph, p):
+    """Every partition lookup by linear scan over the partition's fields."""
+    ids = sorted({z.id for z in p.zones})
+
+    def zone(zid):
+        return next(z for z in p.zones if z.id == zid)
+
+    assigned = frozenset().union(*(z.segments for z in p.zones))
+    unassigned = frozenset(graph.segments) - assigned
+    out = {
+        "zone_of_ws": {
+            ws: next((z.id for z in p.zones if ws in z.workstations), None)
+            for ws in list(graph.workstations) + [999]
+        },
+        "assigned": assigned,
+        "unassigned": unassigned,
+    }
+    for zid in ids + [999]:
+        nbrs = set()
+        for ts in p.transfer_stations:
+            if zid in ts.zones():
+                nbrs.add(ts.station_zone if ts.path_zone == zid else ts.path_zone)
+        out[("neighbors", zid)] = tuple(sorted(nbrs))
+    for zid in ids:
+        z = zone(zid)
+        extra = {ts.ws for ts in p.transfer_stations if ts.path_zone == zid} - set(z.workstations)
+        stations = tuple(z.workstations) + tuple(sorted(extra))
+        allowed = set(z.segments) | unassigned
+        for ts in p.transfer_stations:
+            if ts.path_zone == zid:
+                allowed.update(ts.path)
+        out[("zone", zid)] = z
+        out[("stations", zid)] = stations
+        out[("allowed", zid)] = frozenset(allowed)
+        matrix = {}
+        for i in stations:
+            reached = reference_dijkstra.distances_from(
+                graph, graph.anchor_of(i), {graph.anchor_of(j) for j in stations}, allowed
+            )
+            for j in stations:
+                matrix[(i, j)] = reached.get(graph.anchor_of(j))
+        out[("distances", zid)] = matrix
+    return ids, out
+
+
+def _cached_lookups(graph, p, ids):
+    out = {
+        "zone_of_ws": {ws: p.zone_of_ws(ws) for ws in list(graph.workstations) + [999]},
+        "assigned": p.assigned_segments(),
+        "unassigned": p.unassigned_segments(graph),
+    }
+    for zid in ids + [999]:
+        out[("neighbors", zid)] = p.neighbor_zones(zid)
+    for zid in ids:
+        out[("zone", zid)] = p.zone(zid)
+        out[("stations", zid)] = p.stations_of_zone(zid)
+        out[("allowed", zid)] = p.allowed_segments(graph, zid)
+        try:
+            out[("distances", zid)] = dict(p.station_distances(graph, zid))
+        except NoFeasiblePath:
+            out[("distances", zid)] = None
+    return out
+
+
+def test_cached_partition_lookups_equal_linear_scans():
+    from dynzone.baselines import initial_partition
+    from dynzone.datafiles import load_layout
+
+    graph = load_layout("layout18")
+    rng = random.Random(3)
+    seen = 0
+    for nz in (2, 3, 4):
+        p = initial_partition(graph, nz)
+        for _ in range(25):
+            ids, expect = _scanned_lookups(graph, p)
+            for zid in ids:
+                if None in expect[("distances", zid)].values():
+                    expect[("distances", zid)] = None
+            twin = ZonePartition(p.zones, p.transfer_stations, p.design_id)
+            for _ in range(2):  # the second pass reads the cached values
+                assert _cached_lookups(graph, p, ids) == expect
+            with pytest.raises(KeyError):
+                p.zone(999)
+            with pytest.raises(KeyError):
+                p.stations_of_zone(999)
+            # The caches are no part of the value.
+            assert p == twin and hash(p) == hash(twin)
+            assert partition_to_json(p) == partition_to_json(twin)
+            seen += 1
+            giver, receiver = rng.sample(ids, 2)
+            tips = tip_workstations(graph, p.zone(giver))
+            try:
+                moved = transfer_tip(graph, p, giver, receiver, rng.choice(tips))
+            except (NotATip, WouldDisconnect, WouldEmptyZone):
+                continue
+            p = assign_transfer_stations(graph, moved, {z: rng.random() for z in ids})
+    assert seen == 75
