@@ -15,25 +15,19 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .errors import (
-    InfeasibleStart,
-    NotATip,
-    OrphanPart,
-    WouldDisconnect,
-    WouldEmptyZone,
-)
+from .ddz import acceptance_probability, temperature
+from .errors import InfeasibleStart, OrphanPart
 from .floorgraph import FloorGraph
 from .zoning import (
     FlowMatrix,
     HandlingTimes,
+    TipMoves,
     Zone,
     ZonePartition,
     assign_transfer_stations,
     plan_delivery,
-    tip_workstations,
-    transfer_tip,
     validate_partition,
-    zone_load,
+    zone_loads,
 )
 
 FlowSource = Callable[[ZonePartition], Mapping[int, FlowMatrix]]
@@ -88,26 +82,8 @@ def load_spread(
     handling: HandlingTimes,
 ) -> float:
     """Population standard deviation of the zone loads."""
-    flows = flow_source(partition)
-    loads = [
-        zone_load(graph, partition, z.id, flows[z.id], velocity, handling).load
-        for z in partition.zones
-    ]
-    return statistics.pstdev(loads)
-
-
-def zone_loads_of(
-    graph: FloorGraph,
-    partition: ZonePartition,
-    flow_source: FlowSource,
-    velocity: float,
-    handling: HandlingTimes,
-) -> dict[int, float]:
-    flows = flow_source(partition)
-    return {
-        z.id: zone_load(graph, partition, z.id, flows[z.id], velocity, handling).load
-        for z in partition.zones
-    }
+    loads = zone_loads(graph, partition, flow_source(partition), velocity, handling)
+    return statistics.pstdev(loads.values())
 
 
 # ── Initial design ───────────────────────────────────────────────────
@@ -259,7 +235,12 @@ def sa_optimize(
     the drawn uniform (None when the move improves), and the decision.
     """
     current = start if start is not None else initial_partition(graph, nz)
-    obj_cur = load_spread(graph, current, flow_source, velocity, handling)
+
+    def loads_of(design: ZonePartition) -> dict[int, float]:
+        return zone_loads(graph, design, flow_source(design), velocity, handling)
+
+    moves = TipMoves(graph, current, loads_of(current), loads_of)
+    obj_cur = statistics.pstdev(moves.loads.values())
     best, obj_best = current, obj_cur
     progress = [(0, obj_best)]
     if nz == 1 or iterations < 1:
@@ -268,39 +249,21 @@ def sa_optimize(
     zone_ids = sorted(z.id for z in current.zones)
     denominator = max(1, iterations - 1)
     for it in range(iterations):
-        t_c = schedule.t_initial * (schedule.t_freeze / schedule.t_initial) ** (
-            it / denominator
-        )
-        loads = zone_loads_of(graph, current, flow_source, velocity, handling)
+        t_c = temperature(schedule, it, denominator)
+        loads = moves.loads
         pair = sorted(rng.sample(zone_ids, 2))
         giver, receiver = (
             pair if loads[pair[0]] >= loads[pair[1]] else (pair[1], pair[0])
         )
-        candidate = None
-        tips = list(tip_workstations(graph, current.zone(giver)))
-        while tips:
-            ws = rng.choice(tips)
-            tips.remove(ws)
-            try:
-                moved = transfer_tip(graph, current, giver, receiver, ws)
-            except (NotATip, WouldDisconnect, WouldEmptyZone):
-                continue
-            moved = assign_transfer_stations(graph, moved, loads)
-            if validate_partition(graph, moved):
-                continue
-            candidate = moved
-            break
-        if candidate is None:
+        proposal = moves.propose(giver, receiver, rng)
+        if proposal is None:
             continue
-        obj_new = load_spread(graph, candidate, flow_source, velocity, handling)
-        energy = obj_cur - obj_new
+        _, candidate, new_loads = proposal
+        obj_new = statistics.pstdev(new_loads.values())
         if obj_new <= obj_cur:
             accepted, p, draw = True, 1.0, None
         else:
-            denom = schedule.k * t_c
-            # k * t_c can underflow to zero; a worsening move at zero
-            # weighted temperature is never accepted.
-            p = math.exp(energy / denom) if denom > 0 else 0.0
+            p = acceptance_probability(obj_cur - obj_new, schedule.k, t_c)
             draw = rng.random()
             accepted = draw <= p
         if trace is not None:
@@ -316,7 +279,7 @@ def sa_optimize(
                 }
             )
         if accepted:
-            current, obj_cur = candidate, obj_new
+            moves, obj_cur = TipMoves(graph, candidate, new_loads, loads_of), obj_new
         if obj_new < obj_best:
             best, obj_best = candidate, obj_new
             progress.append((it + 1, obj_best))

@@ -16,23 +16,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import (
-    NoNeighbors,
-    NotATip,
-    WouldDisconnect,
-    WouldEmptyZone,
-)
+from .errors import NoNeighbors
 from .floorgraph import FloorGraph
 from .zoning import (
     FlowMatrix,
     HandlingTimes,
+    TipMoves,
     ZonePartition,
-    assign_transfer_stations,
     plan_delivery,
-    tip_workstations,
-    transfer_tip,
-    validate_partition,
-    zone_load,
+    zone_loads,
 )
 
 
@@ -54,13 +46,26 @@ class AnnealingSchedule:
             raise ValueError("k must be > 0")
 
 
-def temperature(schedule: AnnealingSchedule, n: int) -> float:
-    """Temperature after n reductions; t_initial at n = 0, t_freeze at n = reductions."""
+def temperature(schedule: AnnealingSchedule, n: int, steps: int | None = None) -> float:
+    """Temperature after n of steps cooling steps (default: the schedule's
+    reductions); t_initial at n = 0, t_freeze at n = steps."""
     if n < 0:
         raise ValueError("iteration must be >= 0")
     return schedule.t_initial * (schedule.t_freeze / schedule.t_initial) ** (
-        n / schedule.reductions
+        n / (schedule.reductions if steps is None else steps)
     )
+
+
+def acceptance_probability(energy: float, k: float, t_c: float) -> float:
+    """Metropolis probability of a move that lowers the objective by energy.
+
+    k * t_c can underflow to zero; a worsening move at zero weighted
+    temperature is never accepted.
+    """
+    if energy >= 0:
+        return 1.0
+    denom = k * t_c
+    return math.exp(energy / denom) if denom > 0 else 0.0
 
 
 def load_sigma(
@@ -125,11 +130,8 @@ def propagate_start(
 
 @dataclass(frozen=True)
 class DdzConfig:
-    """Protocol parameters; zeros mean "derive from the fleet and schedule"."""
+    """Search parameters; zeros mean "derive from the fleet and schedule"."""
 
-    l_tol: float = 5.0  # tolerable |load - consensus| gap, minutes
-    t_lt: float = 5.0  # violation duration that triggers redesign, minutes
-    t_ac: float = 2.0  # consensus cadence, minutes
     episodes: int = 0  # 0: one episode per participating robot
     iterations: int = 0  # 0: spread the cooling schedule across all episodes
     iteration_minutes: float = 0.02  # simulated communication cost per iteration
@@ -137,8 +139,6 @@ class DdzConfig:
     literal_sigma: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.l_tol, self.t_lt, self.t_ac) <= 0:
-            raise ValueError("l_tol, t_lt, and t_ac must be positive")
         if self.episodes < 0 or self.iterations < 0 or self.iteration_minutes < 0:
             raise ValueError("episodes, iterations, iteration_minutes must be >= 0")
 
@@ -176,11 +176,7 @@ def fleet_loads(
     velocity: float,
     handling: HandlingTimes,
 ) -> dict[int, float]:
-    flows = queue_flows(partition, graph, tasks)
-    return {
-        z.id: zone_load(graph, partition, z.id, flows[z.id], velocity, handling).load
-        for z in partition.zones
-    }
+    return zone_loads(graph, partition, queue_flows(partition, graph, tasks), velocity, handling)
 
 
 @dataclass
@@ -222,9 +218,11 @@ def ddz_optimize(
     if len(participants) < 2:
         raise NoNeighbors(f"robot {origin} has no neighbors in range")
 
-    def neighbors_of(robot: int) -> list[int]:
+    # Positions are fixed for the call, so each robot's neighbors are too.
+    neighbors: dict[int, list[int]] = {}
+    for robot in participants:
         qx, qy = positions[robot]
-        return [
+        neighbors[robot] = [
             other
             for other in participants
             if other != robot
@@ -235,18 +233,19 @@ def ddz_optimize(
     episodes = config.episodes or len(participants)
     iterations = config.iterations or max(1, -(-(schedule.reductions + 1) // episodes))
 
-    current = partition
-    loads = fleet_loads(graph, partition, tasks, velocity, handling)
+    def loads_of(design: ZonePartition) -> dict[int, float]:
+        return fleet_loads(graph, design, tasks, velocity, handling)
 
-    def sigma_at(robot: int, zone_loads: Mapping[int, float]) -> float:
+    def sigma_at(robot: int, loads: Mapping[int, float]) -> float:
         return load_sigma(
-            zone_loads[robot],
+            loads[robot],
             consensus_values[robot],
-            [zone_loads[j] for j in neighbors_of(robot)],
+            [loads[j] for j in neighbors[robot]],
             literal_sign=config.literal_sigma,
         )
 
-    sigma_initial = sigma_at(origin, loads)
+    moves = TipMoves(graph, partition, loads_of(partition), loads_of, participants)
+    sigma_initial = sigma_at(origin, moves.loads)
     trace: list[dict] = []
     leaders: list[int] = []
     leader = origin
@@ -255,32 +254,18 @@ def ddz_optimize(
 
     for episode in range(episodes):
         leaders.append(leader)
-        best_p, best_loads = current, loads
-        best_sigma = sigma_at(leader, loads)
-        nbrs = neighbors_of(leader)
+        best = moves
+        best_sigma = sigma_at(leader, moves.loads)
         for it in range(iterations):
             n = it if config.temperature_resets_per_episode else n_global
             n_global += 1
             iterations_run += 1
+            loads = moves.loads
             sigma_cur = sigma_at(leader, loads)
-            j = rng.choice(nbrs)
+            j = rng.choice(neighbors[leader])
             giver, receiver = (leader, j) if loads[leader] >= loads[j] else (j, leader)
-
-            candidate = None
-            tips = list(tip_workstations(graph, current.zone(giver)))
-            while tips:
-                ws = rng.choice(sorted(tips))
-                tips.remove(ws)
-                try:
-                    moved = transfer_tip(graph, current, giver, receiver, ws)
-                except (NotATip, WouldDisconnect, WouldEmptyZone):
-                    continue
-                moved = assign_transfer_stations(graph, moved, loads, participants)
-                if validate_partition(graph, moved):
-                    continue
-                candidate = (ws, moved)
-                break
-            if candidate is None:
+            proposal = moves.propose(giver, receiver, rng)
+            if proposal is None:
                 trace.append(
                     {
                         "episode": episode,
@@ -292,18 +277,10 @@ def ddz_optimize(
                 )
                 continue
 
-            ws, moved = candidate
-            new_loads = fleet_loads(graph, moved, tasks, velocity, handling)
+            ws, moved, new_loads = proposal
             sigma_new = sigma_at(leader, new_loads)
-            energy = sigma_cur - sigma_new
             t_c = temperature(schedule, n)
-            if energy >= 0:
-                prob = 1.0
-            else:
-                denom = schedule.k * t_c
-                # k * t_c can underflow to zero; a worsening move at zero
-                # weighted temperature is never accepted.
-                prob = math.exp(energy / denom) if denom > 0 else 0.0
+            prob = acceptance_probability(sigma_cur - sigma_new, schedule.k, t_c)
             draw = rng.random()
             accepted = sigma_new <= sigma_cur or draw <= prob
             trace.append(
@@ -322,12 +299,16 @@ def ddz_optimize(
                     "accepted": accepted,
                 }
             )
-            if accepted:
-                current, loads = moved, new_loads
-            if sigma_new < best_sigma:
-                best_p, best_loads, best_sigma = moved, new_loads, sigma_new
+            # The best design keeps its own TipMoves, so adopting it at the
+            # end of the episode keeps the moves already built out of it.
+            if accepted or sigma_new < best_sigma:
+                state = TipMoves(graph, moved, new_loads, loads_of, participants)
+                if accepted:
+                    moves = state
+                if sigma_new < best_sigma:
+                    best, best_sigma = state, sigma_new
 
-        current, loads = best_p, best_loads
+        moves = best
         trace.append(
             {
                 "episode": episode,
@@ -339,11 +320,11 @@ def ddz_optimize(
         leader = participants[(participants.index(leader) + 1) % len(participants)]
 
     return DdzResult(
-        partition=current,
+        partition=moves.design,
         participants=tuple(participants),
         leaders=tuple(leaders),
         sigma_initial=sigma_initial,
-        sigma_final=sigma_at(leaders[-1], loads),
+        sigma_final=sigma_at(leaders[-1], moves.loads),
         iterations_run=iterations_run,
         trace=trace,
     )

@@ -129,6 +129,16 @@ class FloorGraph:
         if adjacency_threshold <= 0:
             raise LayoutError("adjacency_threshold must be positive")
         self.adjacency_threshold = float(adjacency_threshold)
+        # Workstations within the threshold of each workstation, itself included.
+        self._near: dict[int, frozenset[int]] = {
+            a: frozenset(
+                b
+                for b in self.workstations
+                if self.manhattan(self.anchor_of(a), self.anchor_of(b))
+                <= self.adjacency_threshold
+            )
+            for a in self.workstations
+        }
 
         # Neighbor lists over integer point ids numbered in sorted point-id
         # order, so comparing id tuples orders routes exactly as comparing
@@ -187,7 +197,10 @@ class FloorGraph:
 
     def adjacent(self, a: int, b: int) -> bool:
         """True iff the two workstations' anchors are within the adjacency threshold."""
-        return self.manhattan(self.anchor_of(a), self.anchor_of(b)) <= self.adjacency_threshold
+        if a not in self._near or b not in self._near:
+            self.workstation(a)  # raises UnknownWorkstation
+            self.workstation(b)
+        return b in self._near[a]
 
     # ── Shortest paths ───────────────────────────────────────────────
 

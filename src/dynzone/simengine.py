@@ -89,6 +89,8 @@ class SimConfig:
             raise ValueError("n_robots must be >= 1")
         if self.comm_range <= 0:
             raise ValueError("comm_range must be > 0")
+        if min(self.l_tol, self.t_lt, self.t_ac) <= 0:
+            raise ValueError("l_tol, t_lt, and t_ac must be positive")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
 
@@ -112,12 +114,7 @@ class SimConfig:
             time_cap=data["time_cap_minutes"],
             consensus_eps=data["consensus"]["eps"],
             consensus_max_steps=data["consensus"]["max_steps"],
-            ddz=DdzConfig(
-                l_tol=data["l_tol_minutes"],
-                t_lt=data["t_lt_minutes"],
-                t_ac=data["t_ac_minutes"],
-                **data["ddz"],
-            ),
+            ddz=DdzConfig(**data["ddz"]),
             schedule=AnnealingSchedule(**data["schedule"]),
             ga=GaConfig(**data["ga"]),
             sa_iterations=data["sa"]["iterations"],

@@ -10,9 +10,9 @@ values; every operation returns a fresh partition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     LayoutError,
@@ -574,6 +574,20 @@ def zone_load(
     return LoadBreakdown(stations, dict(d), g, da, db, total, load)
 
 
+def zone_loads(
+    graph: FloorGraph,
+    partition: ZonePartition,
+    flows: Mapping[int, FlowMatrix],
+    velocity: float,
+    handling: HandlingTimes,
+) -> dict[int, float]:
+    """Load of every zone, in partition order, from its per-zone flows."""
+    return {
+        z.id: zone_load(graph, partition, z.id, flows[z.id], velocity, handling).load
+        for z in partition.zones
+    }
+
+
 # ── Validation ───────────────────────────────────────────────────────
 
 
@@ -649,6 +663,66 @@ def validate_partition(graph: FloorGraph, partition: ZonePartition) -> list[str]
             if z.id not in reach:
                 violations.append(f"zone {z.id} is unreachable through transfer stations")
     return violations
+
+
+# ── Tip-move proposals ───────────────────────────────────────────────
+
+
+class TipMoves:
+    """The tip moves out of one zone design, each built and scored once.
+
+    Both repair searches propose by moving a random tip workstation of a
+    giver zone to a receiver zone. A design has only a few legal moves and
+    a rejected proposal leaves the design unchanged, so later iterations
+    draw the same moves again. Each (giver, receiver, ws) outcome is kept:
+    None for an illegal move or an invalid design, else the moved design
+    with its zone loads. A search makes a new TipMoves whenever its design
+    or loads change, so no outcome outlives the state it was built from.
+    """
+
+    def __init__(
+        self,
+        graph: FloorGraph,
+        design: ZonePartition,
+        loads: Mapping[int, float],
+        loads_of: Callable[[ZonePartition], dict[int, float]],
+        zone_ids: Iterable[int] | None = None,
+    ) -> None:
+        self._graph = graph
+        self.design = design
+        self.loads = loads  # zone loads of design; they pick the transfer stations
+        self._loads_of = loads_of
+        self._zone_ids = zone_ids  # zones whose transfer stations are recomputed
+        self._outcomes: dict[tuple[int, int, int], tuple | None] = {}
+
+    def propose(
+        self, giver: int, receiver: int, rng
+    ) -> tuple[int, ZonePartition, dict[int, float]] | None:
+        """Draw the giver's tips in random order until one moves to a valid
+        design; return (ws, moved design, its loads), or None if none does."""
+        tips = list(tip_workstations(self._graph, self.design.zone(giver)))
+        while tips:
+            ws = rng.choice(tips)
+            tips.remove(ws)
+            key = (giver, receiver, ws)
+            if key not in self._outcomes:
+                self._outcomes[key] = self._build(giver, receiver, ws)
+            outcome = self._outcomes[key]
+            if outcome is not None:
+                return (ws, *outcome)
+        return None
+
+    def _build(
+        self, giver: int, receiver: int, ws: int
+    ) -> tuple[ZonePartition, dict[int, float]] | None:
+        try:
+            moved = transfer_tip(self._graph, self.design, giver, receiver, ws)
+        except (NotATip, WouldDisconnect, WouldEmptyZone):
+            return None
+        moved = assign_transfer_stations(self._graph, moved, self.loads, self._zone_ids)
+        if validate_partition(self._graph, moved):
+            return None
+        return moved, self._loads_of(moved)
 
 
 # ── Delivery planning ────────────────────────────────────────────────

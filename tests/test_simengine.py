@@ -54,6 +54,14 @@ def test_config_validation():
         _config(method="magic")
 
 
+@pytest.mark.parametrize("field", ["l_tol", "t_lt", "t_ac"])
+def test_balance_timing_must_be_positive(field):
+    with pytest.raises(ValueError):
+        SimConfig(**{field: 0})
+    with pytest.raises(ValueError):
+        SimConfig(**{field: -1.0})
+
+
 def test_config_from_shipped_json():
     cfg = SimConfig.from_json(load_config("config_default"), "ddz", seed=7)
     assert cfg.velocity == 200.0
