@@ -188,7 +188,10 @@ class FloorGraph:
             raise UnknownWorkstation(f"workstation {ws_id} does not exist") from None
 
     def anchor_of(self, ws_id: int) -> str:
-        return self.workstation(ws_id).anchor
+        try:
+            return self.workstations[ws_id].anchor
+        except KeyError:
+            raise UnknownWorkstation(f"workstation {ws_id} does not exist") from None
 
     def manhattan(self, a: str, b: str) -> float:
         """Manhattan distance between two points, straight-line (not along aisles)."""
@@ -227,12 +230,44 @@ class FloorGraph:
             self._free_paths[key] = self._nearest(source, targets, None)
         return self._free_paths[key]
 
+    def shortest_paths_to_each(
+        self,
+        source: str,
+        targets: set[str] | frozenset[str],
+        allowed_segments: set[str] | frozenset[str] | None = None,
+    ) -> dict[str, Path]:
+        """Deterministic shortest path from a point to each target, in one search.
+
+        Restricted to allowed_segments when given; unreachable targets are
+        absent from the result. Each path equals the one
+        shortest_path_points(source, {target}, allowed_segments) returns.
+        """
+        if source not in self.points:
+            raise LayoutError(f"unknown point {source!r}")
+        return self._settle(source, targets, allowed_segments, len(targets))
+
     def _nearest(
         self,
         source: str,
         targets: set[str] | frozenset[str],
         allowed_segments: set[str] | frozenset[str] | None,
     ) -> Path | None:
+        return next(iter(self._settle(source, targets, allowed_segments, 1).values()), None)
+
+    def _settle(
+        self,
+        source: str,
+        targets: set[str] | frozenset[str],
+        allowed_segments: set[str] | frozenset[str] | None,
+        wanted: int,
+    ) -> dict[str, Path]:
+        """Lexicographic Dijkstra that records each target's route as it
+        settles and stops once `wanted` targets have settled.
+
+        Targets decide only when the search stops, never the order in which
+        points settle, so every recorded route is the one a search for that
+        target alone would return.
+        """
         ids = self._ids
         nbrs = self._nbrs
         start = self._index[source]
@@ -242,6 +277,7 @@ class FloorGraph:
         done = [False] * len(ids)
         dist[start] = 0.0
         route[start] = (start,)
+        found: dict[str, Path] = {}
         heap: list[tuple[float, tuple[int, ...]]] = [(0.0, route[start])]
         while heap:
             d, r = heapq.heappop(heap)
@@ -252,7 +288,9 @@ class FloorGraph:
                 continue
             done[cur] = True
             if ids[cur] in targets:
-                return Path(tuple(via[i] for i in r[1:]), d, tuple(ids[i] for i in r))
+                found[ids[cur]] = Path(tuple(via[i] for i in r[1:]), d, tuple(ids[i] for i in r))
+                if len(found) == wanted:
+                    break
             for nbr, sid, length in nbrs[cur]:
                 if allowed_segments is not None and sid not in allowed_segments:
                     continue
@@ -272,7 +310,7 @@ class FloorGraph:
                 route[nbr] = nr
                 via[nbr] = sid
                 heapq.heappush(heap, (nd, nr))
-        return None
+        return found
 
     def shortest_path(
         self,

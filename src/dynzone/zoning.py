@@ -10,7 +10,7 @@ values; every operation returns a fresh partition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
@@ -41,18 +41,24 @@ class TransferStation:
     station_zone: int
     path_zone: int
 
-    def connects(self, a: int, b: int) -> bool:
-        return {self.station_zone, self.path_zone} == {a, b}
-
     def zones(self) -> tuple[int, int]:
         return (self.station_zone, self.path_zone)
 
 
 @dataclass(frozen=True)
 class Zone:
+    """One zone of a design. Its tip workstations are computed once per
+    graph and kept on the value, outside its fields, like the lookups of
+    ZonePartition."""
+
     id: int
     workstations: tuple[int, ...]
     segments: frozenset[str]
+
+    @cached_property
+    def _per_graph(self) -> dict[tuple, object]:
+        """Graph-dependent lookups, keyed by (lookup, graph)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,10 @@ class ZonePartition:
     """An immutable zone design.
 
     Lookups derived from it (zone by id, zone of each workstation,
-    neighbors, stations, unassigned and allowed segments, station
-    distances) are computed on first use and kept on the instance. They
-    are not fields, so equality, hashing and serialization see only the
-    design itself.
+    neighbors, transfer stations by zone pair, stations, unassigned and
+    allowed segments, station-distance rows) are computed on first use and
+    kept on the instance. They are not fields, so equality, hashing and
+    serialization see only the design itself.
     """
 
     zones: tuple[Zone, ...]
@@ -100,6 +106,14 @@ class ZonePartition:
         return {zid: tuple(sorted(nbrs)) for zid, nbrs in out.items()}
 
     @cached_property
+    def _between(self) -> dict[tuple[int, int], tuple[TransferStation, ...]]:
+        out: dict[tuple[int, int], list[TransferStation]] = {}
+        for ts in self.transfer_stations:
+            a, b = ts.zones()
+            out.setdefault((a, b) if a <= b else (b, a), []).append(ts)
+        return {pair: tuple(found) for pair, found in out.items()}
+
+    @cached_property
     def _stations(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, tuple[int, ...]] = {}
         for zid, z in self._zone_by_id.items():
@@ -113,7 +127,7 @@ class ZonePartition:
 
     @cached_property
     def _per_graph(self) -> dict[tuple, object]:
-        """Graph-dependent lookups, keyed by (lookup, graph, zone id)."""
+        """Graph-dependent lookups, keyed by (lookup, graph, zone id, ...)."""
         return {}
 
     def zone(self, zone_id: int) -> Zone:
@@ -159,33 +173,48 @@ class ZonePartition:
             self._per_graph[key] = frozenset(allowed)
         return self._per_graph[key]
 
-    def station_distances(self, graph: FloorGraph, zone_id: int) -> dict[tuple[int, int], float]:
-        """Path distances in feet between every ordered pair of the zone's
-        stations, over the zone's allowed segments.
+    def station_row(self, graph: FloorGraph, zone_id: int, ws: int) -> dict[int, float]:
+        """Path distances in feet from station ws to each of the zone's
+        stations, over the zone's allowed segments: one sweep, kept.
 
-        Raises NoFeasiblePath when two stations are disconnected there.
+        Raises NoFeasiblePath when ws cannot reach one of them.
         The returned dict is shared by every caller and must not be modified.
         """
-        key = ("distances", graph, zone_id)
-        if key not in self._per_graph:
+        key = ("row", graph, zone_id, ws)
+        row = self._per_graph.get(key)
+        if row is None:
             stations = self.stations_of_zone(zone_id)
-            allowed = self.allowed_segments(graph, zone_id)
-            anchors = {i: graph.anchor_of(i) for i in stations}
-            targets = frozenset(anchors.values())
-            d: dict[tuple[int, int], float] = {}
-            for i in stations:
-                reached = graph.distances_from(anchors[i], targets, allowed)
-                for j in stations:
-                    if anchors[j] not in reached:
-                        raise NoFeasiblePath(
-                            f"stations WS{i} and WS{j} are disconnected inside zone {zone_id}"
-                        )
-                    d[(i, j)] = reached[anchors[j]]
-            self._per_graph[key] = d
-        return self._per_graph[key]
+            anchors = [graph.anchor_of(j) for j in stations]
+            reached = graph.distances_from(
+                graph.anchor_of(ws), frozenset(anchors), self.allowed_segments(graph, zone_id)
+            )
+            row = {}
+            for j, anchor in zip(stations, anchors):
+                if anchor not in reached:
+                    raise NoFeasiblePath(
+                        f"stations WS{ws} and WS{j} are disconnected inside zone {zone_id}"
+                    )
+                row[j] = reached[anchor]
+            self._per_graph[key] = row
+        return row
+
+    def station_distances(self, graph: FloorGraph, zone_id: int) -> dict[tuple[int, int], float]:
+        """Path distances in feet between every ordered pair of the zone's
+        stations, over the zone's allowed segments, in station order.
+
+        Raises NoFeasiblePath when two stations are disconnected there.
+        """
+        stations = self.stations_of_zone(zone_id)
+        d: dict[tuple[int, int], float] = {}
+        for i in stations:
+            row = self.station_row(graph, zone_id, i)
+            for j in stations:
+                d[(i, j)] = row[j]
+        return d
 
     def transfer_stations_between(self, a: int, b: int) -> tuple[TransferStation, ...]:
-        return tuple(ts for ts in self.transfer_stations if ts.connects(a, b))
+        """The transfer stations joining zones a and b, in design order."""
+        return self._between.get((a, b) if a <= b else (b, a), ())
 
     def neighbor_zones(self, zone_id: int) -> tuple[int, ...]:
         return self._neighbors.get(zone_id, ())
@@ -233,24 +262,8 @@ class FlowMatrix:
     def total(self) -> float:
         return sum(self._f.values())
 
-    def inflow(self, i: int) -> float:
-        return sum(c for (src, dst), c in self._f.items() if dst == i)
-
-    def outflow(self, i: int) -> float:
-        return sum(c for (src, dst), c in self._f.items() if src == i)
-
-    def stations(self) -> tuple[int, ...]:
-        ids = set()
-        for i, j in self._f:
-            ids.add(i)
-            ids.add(j)
-        return tuple(sorted(ids))
-
     def items(self):
         return self._f.items()
-
-    def copy(self) -> "FlowMatrix":
-        return FlowMatrix(self._f)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FlowMatrix) and self._f == other._f
@@ -261,15 +274,47 @@ class FlowMatrix:
 
 @dataclass(frozen=True)
 class LoadBreakdown:
-    """Per-pair distance and trip terms behind a zone's load figure."""
+    """A zone's load figure and the per-pair terms behind it.
+
+    The per-pair dicts, keyed by ordered station pair in station order,
+    are built on first read, from the flows the load was computed from:
+    the load itself reads only the distances from stations whose trips it
+    counts.
+    """
 
     stations: tuple[int, ...]
-    d: dict[tuple[int, int], float]  # path distances, feet
-    g: dict[tuple[int, int], float]  # expected empty trips
-    empty_distance: dict[tuple[int, int], float]  # g * d, feet
-    loaded_distance: dict[tuple[int, int], float]  # f * d, feet
     total_flow: float
     load: float  # minutes
+    _inflow: dict[int, float] = field(repr=False, compare=False)  # loaded trips ending at i
+    _outflow: dict[int, float] = field(repr=False, compare=False)  # loaded trips starting at i
+    _flows: FlowMatrix = field(repr=False, compare=False)
+    _zone: tuple[FloorGraph, ZonePartition, int] = field(repr=False, compare=False)
+
+    @cached_property
+    def d(self) -> dict[tuple[int, int], float]:
+        """Path distances, feet."""
+        graph, partition, zone_id = self._zone
+        return partition.station_distances(graph, zone_id)
+
+    @cached_property
+    def g(self) -> dict[tuple[int, int], float]:
+        """Expected empty trips."""
+        total = self.total_flow
+        return {
+            (i, j): self._inflow[i] * self._outflow[j] / total if total > 0 else 0.0
+            for i in self._inflow
+            for j in self._inflow
+        }
+
+    @cached_property
+    def empty_distance(self) -> dict[tuple[int, int], float]:
+        """g * d, feet."""
+        return {ij: self.g[ij] * dij for ij, dij in self.d.items()}
+
+    @cached_property
+    def loaded_distance(self) -> dict[tuple[int, int], float]:
+        """f * d, feet."""
+        return {(i, j): self._flows.get(i, j) * dij for (i, j), dij in self.d.items()}
 
 
 # ── Tip workstations ─────────────────────────────────────────────────
@@ -290,15 +335,18 @@ def tip_workstations(graph: FloorGraph, zone: Zone) -> tuple[int, ...]:
     A lone workstation is its own tip. A workstation with two or more
     incident zone segments is never a tip.
     """
-    if len(zone.workstations) == 1:
-        return tuple(zone.workstations)
-    deg = _zone_degrees(zone, graph)
-    tips = [
-        ws
-        for ws in zone.workstations
-        if deg.get(graph.anchor_of(ws), 0) <= 1
-    ]
-    return tuple(sorted(tips))
+    key = ("tips", graph)
+    tips = zone._per_graph.get(key)
+    if tips is None:
+        if len(zone.workstations) == 1:
+            tips = tuple(zone.workstations)
+        else:
+            deg = _zone_degrees(zone, graph)
+            tips = tuple(
+                sorted(ws for ws in zone.workstations if deg.get(graph.anchor_of(ws), 0) <= 1)
+            )
+        zone._per_graph[key] = tips
+    return tips
 
 
 def remove_tip(graph: FloorGraph, zone: Zone, ws: int) -> tuple[Zone, frozenset[str]]:
@@ -440,27 +488,26 @@ def find_transfer_stations(
         raise ValueError("zones must differ")
     alpha, beta = (zone_a, zone_b) if zone_a < zone_b else (zone_b, zone_a)
     za, zb = partition.zone(alpha), partition.zone(beta)
-    tips_a = tip_workstations(graph, za)
     tips_b = tip_workstations(graph, zb)
-    pairs = [
-        (wa, wb)
-        for wa in tips_a
-        for wb in tips_b
-        if graph.adjacent(wa, wb)
-    ]
     abp = frozenset(
         set(za.segments) | set(zb.segments) | set(partition.unassigned_segments(graph))
     )
-    # The connecting paths do not change as pairs are consumed, so taking
-    # the keys in sorted order equals taking the minimum over the unused
-    # pairs round by round.
+    # One search from each tip of zone a finds its paths to all adjacent
+    # tips of zone b. The connecting paths do not change as pairs are
+    # consumed, so taking the keys in sorted order equals taking the minimum
+    # over the unused pairs round by round.
     keys: list[tuple[float, int, int, tuple[str, ...], int, int]] = []
-    for wa, wb in pairs:
-        try:
-            path = graph.shortest_path(wa, wb, abp)
-        except NoFeasiblePath:
+    for wa in tip_workstations(graph, za):
+        near = [wb for wb in tips_b if graph.adjacent(wa, wb)]
+        if not near:
             continue
-        keys.append((path.distance, min(wa, wb), max(wa, wb), path.segments, wa, wb))
+        paths = graph.shortest_paths_to_each(
+            graph.anchor_of(wa), {graph.anchor_of(wb) for wb in near}, abp
+        )
+        for wb in near:
+            path = paths.get(graph.anchor_of(wb))
+            if path is not None:
+                keys.append((path.distance, min(wa, wb), max(wa, wb), path.segments, wa, wb))
     keys.sort()
     if loads.get(alpha, 0.0) >= loads.get(beta, 0.0):
         station_zone, path_zone = alpha, beta
@@ -544,14 +591,20 @@ def zone_load(
     Expected empty trips from i to j scale with the loaded inflow at i
     times the loaded outflow at j, normalized by total flow; with zero
     total flow there are no expected empty trips.
+
+    The distance sums take the nonzero terms only, in station-pair order.
+    Every other term is exactly 0.0, and adding it would leave the sum
+    unchanged, so only the rows of stations that begin a counted trip are
+    built. Raises NoFeasiblePath when two of the zone's stations are
+    disconnected: any one row shows it, so a load that counts no trip
+    reads the first station's row.
     """
     if velocity <= 0:
         raise ZeroVelocity("velocity must be > 0")
     stations = partition.stations_of_zone(zone_id)
-    d = partition.station_distances(graph, zone_id)
 
-    # Per-station in- and outflow in one pass; each sum adds its terms in
-    # flow insertion order, as FlowMatrix.inflow and outflow do.
+    # Loaded trips into and out of each station in one pass; each sum adds
+    # its terms in flow insertion order.
     inflows: dict[int, list[float]] = {i: [] for i in stations}
     outflows: dict[int, list[float]] = {i: [] for i in stations}
     for (src, dst), c in flows.items():
@@ -562,16 +615,24 @@ def zone_load(
     inflow = {i: sum(cs) for i, cs in inflows.items()}
     outflow = {i: sum(cs) for i, cs in outflows.items()}
     total = flows.total()
-    pairs = list(d)  # (i, j) in station order
-    if total > 0:
-        g = {(i, j): inflow[i] * outflow[j] / total for i, j in pairs}
-    else:
-        g = dict.fromkeys(pairs, 0.0)
     f = flows.get
-    da = {ij: g[ij] * d[ij] for ij in pairs}
-    db = {(i, j): f(i, j) * d[(i, j)] for i, j in pairs}
-    load = (sum(da.values()) + sum(db.values())) / velocity + total * handling.total
-    return LoadBreakdown(stations, dict(d), g, da, db, total, load)
+    starts = [j for j, c in outflow.items() if c]  # where empty trips can end
+    empty: list[float] = []  # g * d, with g = inflow[i] * outflow[j] / total
+    loaded: list[float] = []  # f * d
+    read_row = False
+    for i, ends in inflow.items():
+        dests = [j for j in inflow if f(i, j)] if outflow[i] else []
+        if not dests and not (ends and starts):
+            continue
+        row = partition.station_row(graph, zone_id, i)
+        read_row = True
+        if ends:
+            empty.extend(ends * outflow[j] / total * row[j] for j in starts)
+        loaded.extend(f(i, j) * row[j] for j in dests)
+    if not read_row and stations:
+        partition.station_row(graph, zone_id, stations[0])
+    load = (sum(empty) + sum(loaded)) / velocity + total * handling.total
+    return LoadBreakdown(stations, total, load, inflow, outflow, flows, (graph, partition, zone_id))
 
 
 def zone_loads(

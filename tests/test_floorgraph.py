@@ -227,3 +227,30 @@ def test_searches_match_string_keyed_reference(name):
             got = g.distances_from(source, targets, allowed)
             assert got == expect_dists
             got.clear()  # a caller's edits must not reach the memo
+
+
+@pytest.mark.parametrize("name", ["layout18", "fig2", "grid-3", "grid-4"])
+def test_paths_to_each_equal_single_target_searches(name):
+    from dynzone.datafiles import load_layout
+
+    g = _tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
+    rng = random.Random(f"each-{name}")
+    point_ids = sorted(g.points)
+    segment_ids = sorted(g.segments)
+    for _ in range(60):
+        keep = rng.choice([None, 0.5, 0.8, 1.0])
+        allowed = None if keep is None else {s for s in segment_ids if rng.random() < keep}
+        source = rng.choice(point_ids)
+        targets = set(rng.sample(point_ids, rng.randint(1, len(point_ids))))
+        expect = {}
+        for t in sorted(targets):
+            single = g.shortest_path_points(source, {t}, allowed)
+            assert single == reference_dijkstra.shortest_path_points(g, source, {t}, allowed)
+            if single is not None:
+                expect[t] = single
+        assert g.shortest_paths_to_each(source, targets, allowed) == expect
+
+
+def test_paths_to_each_rejects_unknown_source(line_graph):
+    with pytest.raises(LayoutError):
+        line_graph.shortest_paths_to_each("nowhere", {"A"})

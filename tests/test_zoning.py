@@ -453,6 +453,10 @@ def _scanned_lookups(graph, p):
             if zid in ts.zones():
                 nbrs.add(ts.station_zone if ts.path_zone == zid else ts.path_zone)
         out[("neighbors", zid)] = tuple(sorted(nbrs))
+        for other in ids + [999]:
+            out[("between", zid, other)] = tuple(
+                ts for ts in p.transfer_stations if {ts.station_zone, ts.path_zone} == {zid, other}
+            )
     for zid in ids:
         z = zone(zid)
         extra = {ts.ws for ts in p.transfer_stations if ts.path_zone == zid} - set(z.workstations)
@@ -462,6 +466,15 @@ def _scanned_lookups(graph, p):
             if ts.path_zone == zid:
                 allowed.update(ts.path)
         out[("zone", zid)] = z
+        degree = {}
+        for sid in z.segments:
+            for end in (graph.segments[sid].a, graph.segments[sid].b):
+                degree[end] = degree.get(end, 0) + 1
+        out[("tips", zid)] = (
+            z.workstations
+            if len(z.workstations) == 1
+            else tuple(w for w in sorted(z.workstations) if degree.get(graph.anchor_of(w), 0) <= 1)
+        )
         out[("stations", zid)] = stations
         out[("allowed", zid)] = frozenset(allowed)
         matrix = {}
@@ -483,8 +496,11 @@ def _cached_lookups(graph, p, ids):
     }
     for zid in ids + [999]:
         out[("neighbors", zid)] = p.neighbor_zones(zid)
+        for other in ids + [999]:
+            out[("between", zid, other)] = p.transfer_stations_between(zid, other)
     for zid in ids:
         out[("zone", zid)] = p.zone(zid)
+        out[("tips", zid)] = tip_workstations(graph, p.zone(zid))
         out[("stations", zid)] = p.stations_of_zone(zid)
         out[("allowed", zid)] = p.allowed_segments(graph, zid)
         try:
@@ -527,3 +543,221 @@ def test_cached_partition_lookups_equal_linear_scans():
                 continue
             p = assign_transfer_stations(graph, moved, {z: rng.random() for z in ids})
     assert seen == 75
+
+
+# ── Loads read only the rows they use; one search per source tip ─────
+
+
+def _full_matrix_load(graph, partition, zone_id, flows, velocity, handling):
+    """The load summed over every ordered pair of the full station matrix,
+    zero terms included, with the per-pair dicts behind it."""
+    stations = partition.stations_of_zone(zone_id)
+    d = partition.station_distances(graph, zone_id)
+    inflows = {i: [] for i in stations}
+    outflows = {i: [] for i in stations}
+    for (src, dst), c in flows.items():
+        if dst in inflows:
+            inflows[dst].append(c)
+        if src in outflows:
+            outflows[src].append(c)
+    inflow = {i: sum(cs) for i, cs in inflows.items()}
+    outflow = {i: sum(cs) for i, cs in outflows.items()}
+    total = flows.total()
+    pairs = list(d)
+    if total > 0:
+        g = {(i, j): inflow[i] * outflow[j] / total for i, j in pairs}
+    else:
+        g = dict.fromkeys(pairs, 0.0)
+    da = {ij: g[ij] * d[ij] for ij in pairs}
+    db = {(i, j): flows.get(i, j) * d[(i, j)] for i, j in pairs}
+    load = (sum(da.values()) + sum(db.values())) / velocity + total * handling.total
+    return load, d, g, da, db
+
+
+def _designs(graph):
+    """A whole-floor zone, then every initial design the floor admits."""
+    from dynzone.baselines import initial_partition
+    from dynzone.errors import InfeasibleStart
+
+    yield ZonePartition(
+        (Zone(1, tuple(sorted(graph.workstations)), frozenset(graph.segments)),)
+    )
+    for nz in (2, 3):
+        try:
+            yield initial_partition(graph, nz)
+        except InfeasibleStart:
+            pass
+
+
+def test_sparse_load_equals_full_matrix_sum_exactly():
+    from tests.test_floorgraph import _tie_grid
+
+    rng = random.Random(11)
+    checked = 0
+    for seed in range(40):
+        graph = _tie_grid(seed)
+        ws_ids = sorted(graph.workstations)
+        for design in _designs(graph):
+            for z in design.zones:
+                stations = design.stations_of_zone(z.id)
+                for _ in range(50 // design.nz):
+                    flows = FlowMatrix()
+                    carrying = rng.sample(ws_ids, rng.randint(0, len(ws_ids)))
+                    for _ in range(rng.randint(0, 8)):
+                        i = rng.choice(carrying or ws_ids)
+                        j = rng.choice(stations if rng.random() < 0.8 else ws_ids)
+                        flows.add(i, j, rng.choice([1.0, rng.uniform(0.001, 7.0)]))
+                    velocity = rng.uniform(20.0, 200.0)
+                    handling = HandlingTimes(rng.uniform(0, 1), rng.uniform(0, 1))
+                    got = zone_load(graph, design, z.id, flows, velocity, handling)
+                    load, d, g, da, db = _full_matrix_load(
+                        graph, design, z.id, flows, velocity, handling
+                    )
+                    assert got.load == load
+                    assert (got.d, got.g, got.empty_distance, got.loaded_distance) == (
+                        d, g, da, db
+                    )
+                    checked += 1
+    assert checked >= 2000
+
+
+def test_zone_loads_sweep_once_per_flow_carrying_station(monkeypatch):
+    from dynzone.baselines import initial_partition
+    from dynzone.datafiles import load_layout
+    from dynzone.zoning import zone_loads
+
+    graph = load_layout("layout18")
+    sweeps = []
+    sweep = graph.distances_from
+    monkeypatch.setattr(
+        graph, "distances_from", lambda *args: sweeps.append(args[0]) or sweep(*args)
+    )
+    rng = random.Random(8)
+    for nz in (2, 3, 4):
+        start = initial_partition(graph, nz)
+        design = ZonePartition(start.zones, start.transfer_stations, start.design_id)
+        flows, expect = {}, 0
+        for n, z in enumerate(design.zones):
+            stations = design.stations_of_zone(z.id)
+            fm = FlowMatrix()
+            for _ in range(rng.randint(1, 3) if n else 0):  # the first zone carries none
+                i, j = rng.sample(stations, 2)
+                fm.add(i, j, rng.uniform(0.5, 3.0))
+            flows[z.id] = fm
+            into = {i for (_, i), c in fm.items() if c}
+            out_of = {i for (i, _), c in fm.items() if c}
+            carrying = {
+                i for i in stations if (i in into and out_of) or any(fm.get(i, j) for j in stations)
+            }
+            # A zone that counts no trip reads one row, which checks that
+            # its stations are connected, as the full matrix did.
+            expect += len(carrying) or 1
+        handling = HandlingTimes(0.1, 0.2)
+        sweeps.clear()
+        loads = zone_loads(graph, design, flows, 100.0, handling)
+        assert len(sweeps) == expect < sum(len(design.stations_of_zone(z.id)) for z in design.zones)
+        assert loads == {
+            z.id: _full_matrix_load(graph, design, z.id, flows[z.id], 100.0, handling)[0]
+            for z in design.zones
+        }
+        sweeps.clear()
+        zone_loads(graph, design, flows, 100.0, handling)
+        assert sweeps == []  # rows are kept on the design
+
+
+def test_zero_flow_load_still_requires_connected_stations(twozone_graph, twozone_partition):
+    from dynzone.zoning import TransferStation
+
+    broken = ZonePartition(twozone_partition.zones, (TransferStation(3, (), 2, 1),))
+    with pytest.raises(NoFeasiblePath):
+        zone_load(twozone_graph, broken, 1, FlowMatrix(), 100.0, NO_HANDLING)
+
+
+def _pairwise_transfer_stations(graph, partition, zone_a, zone_b, loads):
+    """find_transfer_stations with one single-target search per tip pair."""
+    from dynzone.zoning import TransferStation
+
+    alpha, beta = sorted((zone_a, zone_b))
+    za, zb = partition.zone(alpha), partition.zone(beta)
+    abp = frozenset(za.segments | zb.segments | partition.unassigned_segments(graph))
+    keys = []
+    for wa in tip_workstations(graph, za):
+        for wb in tip_workstations(graph, zb):
+            if graph.adjacent(wa, wb):
+                try:
+                    path = graph.shortest_path(wa, wb, abp)
+                except NoFeasiblePath:
+                    continue
+                keys.append((path.distance, min(wa, wb), max(wa, wb), path.segments, wa, wb))
+    keys.sort()
+    station_zone = alpha if loads.get(alpha, 0.0) >= loads.get(beta, 0.0) else beta
+    path_zone = beta if station_zone == alpha else alpha
+    used, out = set(), []
+    for _, _, _, segs, wa, wb in keys:
+        if wa not in used and wb not in used:
+            used |= {wa, wb}
+            station = wa if station_zone == alpha else wb
+            out.append(TransferStation(station, segs, station_zone, path_zone))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("layout", ["layout18", "fig2"])
+def test_transfer_stations_search_once_per_source_tip(layout):
+    from dynzone.baselines import initial_partition
+    from dynzone.datafiles import load_layout
+
+    graph = load_layout(layout)
+    rng = random.Random(layout)
+    searches = 0
+    for nz in (2, 3, 4):
+        p = initial_partition(graph, nz)
+        ids = sorted(z.id for z in p.zones)
+        for _ in range(15):
+            loads = {z: rng.random() for z in ids}
+            for a in ids:
+                for b in ids:
+                    if a >= b:
+                        continue
+                    expect = _pairwise_transfer_stations(graph, p, a, b, loads)
+                    sources = []
+                    each = graph.shortest_paths_to_each
+                    graph.shortest_paths_to_each = (
+                        lambda s, t, allowed: sources.append(s) or each(s, t, allowed)
+                    )
+                    try:
+                        got = find_transfer_stations(graph, p, b, a, loads)
+                    finally:
+                        del graph.shortest_paths_to_each
+                    assert got == expect
+                    tips_b = tip_workstations(graph, p.zone(b))
+                    assert sorted(sources) == sorted(
+                        graph.anchor_of(wa)
+                        for wa in tip_workstations(graph, p.zone(a))
+                        if any(graph.adjacent(wa, wb) for wb in tips_b)
+                    )
+                    searches += len(sources)
+            giver, receiver = rng.sample(ids, 2)
+            try:
+                moved = transfer_tip(
+                    graph, p, giver, receiver, rng.choice(tip_workstations(graph, p.zone(giver)))
+                )
+            except (NotATip, WouldDisconnect, WouldEmptyZone):
+                continue
+            p = assign_transfer_stations(graph, moved, loads)
+    assert searches > 0
+
+
+def test_tips_kept_once_per_graph_on_the_zone(monkeypatch, twozone_graph, twozone_partition):
+    from dynzone import zoning
+
+    counted = []
+    degrees = zoning._zone_degrees
+    monkeypatch.setattr(zoning, "_zone_degrees", lambda z, g: counted.append(z) or degrees(z, g))
+    zone = twozone_partition.zone(1)
+    twin = Zone(zone.id, zone.workstations, zone.segments)
+    first = tip_workstations(twozone_graph, zone)
+    assert tip_workstations(twozone_graph, zone) == first
+    assert len(counted) == 1
+    assert tip_workstations(twozone_graph, twin) == first and len(counted) == 2
+    # The kept tips are no part of the value.
+    assert zone == twin and hash(zone) == hash(twin)
