@@ -153,10 +153,11 @@ class FloorGraph:
             self._nbrs[b].append((a, seg.id, seg.length))
         for lst in self._nbrs:
             lst.sort()
-        # Unrestricted queries, memoized by (source, *sorted targets); the
-        # graph is immutable, so each answer holds for the graph's lifetime.
-        self._free_paths: dict[tuple[str, ...], Path | None] = {}
-        self._free_distances: dict[tuple[str, ...], dict[str, float]] = {}
+        # Unrestricted single-target paths by (source, target). A miss
+        # settles the source's paths to every workstation anchor at once;
+        # the graph is immutable, so each answer holds for its lifetime.
+        self._anchors = frozenset(anchors)
+        self._free_paths: dict[tuple[str, str], Path | None] = {}
 
         self._validate_connected()
         for ws in self.workstations.values():
@@ -218,16 +219,25 @@ class FloorGraph:
         Restricted to allowed_segments when given. Returns None if every
         target is unreachable. Equal-length ties resolve to the
         lexicographically smallest point-id route.
+
+        Unrestricted single-target answers are kept per (source, target): a
+        miss searches once from the source to the target and every
+        workstation anchor, and keeps each path found, which equals the
+        single-target answer (see shortest_paths_to_each).
         """
         if source not in self.points:
             raise LayoutError(f"unknown point {source!r}")
         if source in targets:
             return Path((), 0.0, (source,))
-        if allowed_segments is not None:
+        if allowed_segments is not None or len(targets) != 1:
             return self._nearest(source, targets, allowed_segments)
-        key = (source, *sorted(targets))
+        (target,) = targets
+        key = (source, target)
         if key not in self._free_paths:
-            self._free_paths[key] = self._nearest(source, targets, None)
+            wanted = self._anchors | targets
+            for end, path in self._settle(source, wanted, None, len(wanted)).items():
+                self._free_paths.setdefault((source, end), path)
+            self._free_paths.setdefault(key, None)
         return self._free_paths[key]
 
     def shortest_paths_to_each(
@@ -353,19 +363,6 @@ class FloorGraph:
         """
         if source not in self.points:
             raise LayoutError(f"unknown point {source!r}")
-        if allowed_segments is not None:
-            return self._sweep(source, targets, allowed_segments)
-        key = (source, *sorted(targets))
-        if key not in self._free_distances:
-            self._free_distances[key] = self._sweep(source, targets, None)
-        return dict(self._free_distances[key])
-
-    def _sweep(
-        self,
-        source: str,
-        targets: set[str] | frozenset[str],
-        allowed_segments: set[str] | frozenset[str] | None,
-    ) -> dict[str, float]:
         ids = self._ids
         nbrs = self._nbrs
         remaining = set(targets)

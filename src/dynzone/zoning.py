@@ -47,9 +47,9 @@ class TransferStation:
 
 @dataclass(frozen=True)
 class Zone:
-    """One zone of a design. Its tip workstations are computed once per
-    graph and kept on the value, outside its fields, like the lookups of
-    ZonePartition."""
+    """One zone of a design. Its tip workstations and points are computed
+    once per graph and kept on the value, outside its fields, like the
+    lookups of ZonePartition."""
 
     id: int
     workstations: tuple[int, ...]
@@ -67,9 +67,10 @@ class ZonePartition:
 
     Lookups derived from it (zone by id, zone of each workstation,
     neighbors, transfer stations by zone pair, stations, unassigned and
-    allowed segments, station-distance rows) are computed on first use and
-    kept on the instance. They are not fields, so equality, hashing and
-    serialization see only the design itself.
+    allowed segments, station-distance rows, delivery plans and feasible
+    legs) are computed on first use and kept on the instance. They are not
+    fields, so equality, hashing and serialization see only the design
+    itself.
     """
 
     zones: tuple[Zone, ...]
@@ -127,7 +128,7 @@ class ZonePartition:
 
     @cached_property
     def _per_graph(self) -> dict[tuple, object]:
-        """Graph-dependent lookups, keyed by (lookup, graph, zone id, ...)."""
+        """Per-query lookups, keyed by (lookup, graph or None, ...)."""
         return {}
 
     def zone(self, zone_id: int) -> Zone:
@@ -376,12 +377,18 @@ def remove_tip(graph: FloorGraph, zone: Zone, ws: int) -> tuple[Zone, frozenset[
     return Zone(zone.id, new_ws, frozenset(segments)), frozenset(freed)
 
 
-def _zone_points(graph: FloorGraph, zone: Zone) -> set[str]:
-    pts = {graph.anchor_of(w) for w in zone.workstations}
-    for sid in zone.segments:
-        seg = graph.segments[sid]
-        pts.add(seg.a)
-        pts.add(seg.b)
+def _zone_points(graph: FloorGraph, zone: Zone) -> frozenset[str]:
+    """Anchors of the zone's workstations and ends of its segments, kept
+    on the zone per graph."""
+    key = ("points", graph)
+    pts = zone._per_graph.get(key)
+    if pts is None:
+        found = {graph.anchor_of(w) for w in zone.workstations}
+        for sid in zone.segments:
+            seg = graph.segments[sid]
+            found.add(seg.a)
+            found.add(seg.b)
+        pts = zone._per_graph[key] = frozenset(found)
     return pts
 
 
@@ -406,6 +413,29 @@ def _zone_connected(graph: FloorGraph, zone: Zone) -> bool:
                 seen.add(nbr)
                 stack.append(nbr)
     return pts <= seen
+
+
+def _path_joins_zone(graph: FloorGraph, ts: TransferStation, zone: Zone) -> bool:
+    """True iff the station's anchor, extended along the segments of its
+    connecting path, reaches a point of the zone. Unknown segment ids join
+    nothing."""
+    points = _zone_points(graph, zone)
+    reached = {graph.anchor_of(ts.ws)}
+    pending = [graph.segments[sid] for sid in ts.path if sid in graph.segments]
+    while reached.isdisjoint(points):
+        left = []
+        for seg in pending:
+            if seg.a in reached or seg.b in reached:
+                reached.add(seg.a)
+                reached.add(seg.b)
+            else:
+                left.append(seg)
+        if len(left) == len(pending):
+            return False
+        # Alternate direction, so a path in walk order from either end
+        # joins within two passes.
+        pending = left[::-1]
+    return True
 
 
 def transfer_tip(
@@ -559,19 +589,25 @@ def shortest_feasible_path(
     src: int,
     dst: int,
 ) -> Path:
-    """Minimal path confined to the endpoint zones plus unassigned segments."""
-    zs = partition.zone_of_ws(src)
-    zd = partition.zone_of_ws(dst)
-    if zs is None:
-        raise ZoneViolation(f"WS{src} belongs to no zone")
-    if zd is None:
-        raise ZoneViolation(f"WS{dst} belongs to no zone")
-    allowed = frozenset(
-        set(partition.zone(zs).segments)
-        | set(partition.zone(zd).segments)
-        | set(partition.unassigned_segments(graph))
-    )
-    return graph.shortest_path(src, dst, allowed)
+    """Minimal path confined to the endpoint zones plus unassigned segments.
+
+    Each path is kept on the partition; NoFeasiblePath is raised anew on
+    every call.
+    """
+    key = ("leg", graph, src, dst)
+    leg = partition._per_graph.get(key)
+    if leg is None:
+        zs = partition.zone_of_ws(src)
+        zd = partition.zone_of_ws(dst)
+        if zs is None or zd is None:
+            raise ZoneViolation(f"WS{src if zs is None else dst} belongs to no zone")
+        allowed = frozenset(
+            set(partition.zone(zs).segments)
+            | set(partition.zone(zd).segments)
+            | set(partition.unassigned_segments(graph))
+        )
+        leg = partition._per_graph[key] = graph.shortest_path(src, dst, allowed)
+    return leg
 
 
 # ── Zone load (expected service minutes) ─────────────────────────────
@@ -603,32 +639,35 @@ def zone_load(
         raise ZeroVelocity("velocity must be > 0")
     stations = partition.stations_of_zone(zone_id)
 
-    # Loaded trips into and out of each station in one pass; each sum adds
-    # its terms in flow insertion order.
+    # Loaded trips into and out of each station, and between stations, in
+    # one pass; each sum adds its terms in flow insertion order.
     inflows: dict[int, list[float]] = {i: [] for i in stations}
     outflows: dict[int, list[float]] = {i: [] for i in stations}
+    trips: dict[int, dict[int, float]] = {i: {} for i in stations}  # f[i][j] > 0
     for (src, dst), c in flows.items():
         if dst in inflows:
             inflows[dst].append(c)
+            if src in trips:
+                trips[src][dst] = c
         if src in outflows:
             outflows[src].append(c)
     inflow = {i: sum(cs) for i, cs in inflows.items()}
     outflow = {i: sum(cs) for i, cs in outflows.items()}
     total = flows.total()
-    f = flows.get
     starts = [j for j, c in outflow.items() if c]  # where empty trips can end
     empty: list[float] = []  # g * d, with g = inflow[i] * outflow[j] / total
     loaded: list[float] = []  # f * d
     read_row = False
     for i, ends in inflow.items():
-        dests = [j for j in inflow if f(i, j)] if outflow[i] else []
+        to = trips[i]
+        dests = [j for j in inflow if j in to] if to else []  # station order
         if not dests and not (ends and starts):
             continue
         row = partition.station_row(graph, zone_id, i)
         read_row = True
         if ends:
             empty.extend(ends * outflow[j] / total * row[j] for j in starts)
-        loaded.extend(f(i, j) * row[j] for j in dests)
+        loaded.extend(to[j] * row[j] for j in dests)
     if not read_row and stations:
         partition.station_row(graph, zone_id, stations[0])
     load = (sum(empty) + sum(loaded)) / velocity + total * handling.total
@@ -705,6 +744,14 @@ def validate_partition(graph: FloorGraph, partition: ZonePartition) -> list[str]
                 violations.append(
                     f"connecting path of transfer station WS{ts.ws} crosses zone {owner}"
                 )
+        # The path zone reaches the station over the connecting path, so the
+        # station's anchor and the path must join one of the zone's points.
+        if ts.path_zone in ids and not _path_joins_zone(
+            graph, ts, partition.zone(ts.path_zone)
+        ):
+            violations.append(
+                f"connecting path of transfer station WS{ts.ws} does not reach zone {ts.path_zone}"
+            )
 
     if partition.nz > 1 and not violations:
         for z in partition.zones:
@@ -798,8 +845,19 @@ def plan_delivery(
     """Legs (pickup, dropoff, serving zone) moving a part from src to dst.
 
     Cross-zone deliveries hop between zones at transfer stations; each
-    leg is served by the robot of the zone being traversed.
+    leg is served by the robot of the zone being traversed. The plan
+    depends on the design alone, so it is kept on the partition; each call
+    returns a new list. ZoneViolation and NoFeasiblePath are raised anew on
+    every call.
     """
+    key = ("plan", None, src, dst)
+    legs = partition._per_graph.get(key)
+    if legs is None:
+        legs = partition._per_graph[key] = tuple(_route_legs(partition, src, dst))
+    return list(legs)
+
+
+def _route_legs(partition: ZonePartition, src: int, dst: int) -> list[tuple[int, int, int]]:
     if src == dst:
         return []
     zs = partition.zone_of_ws(src)

@@ -12,6 +12,36 @@ def build_graph(points, segments, workstations, threshold):
     return FloorGraph(pts, segments, ws, threshold)
 
 
+def grid_layout(rng, cols: int, rows: int, n_stations: int) -> FloorGraph:
+    """A cols x rows aisle grid of junctions at 40-ft spacing; n_stations
+    junctions drawn from rng carry a workstation on its own 20-ft stub, with
+    a processing time of 1-3 minutes drawn from rng."""
+    points, segments = [], []
+    for r in range(rows):
+        for c in range(cols):
+            points.append({"id": f"J{c}_{r}", "x": 40 * c, "y": 40 * r, "kind": JUNCTION})
+            if c + 1 < cols:
+                segments.append([f"J{c}_{r}", f"J{c + 1}_{r}"])
+            if r + 1 < rows:
+                segments.append([f"J{c}_{r}", f"J{c}_{r + 1}"])
+    workstations = []
+    for ws_id, cell in enumerate(sorted(rng.sample(range(cols * rows), n_stations)), start=1):
+        c, r = cell % cols, cell // cols
+        anchor = f"W{ws_id}"
+        points.append({"id": anchor, "x": 40 * c + 10, "y": 40 * r + 10, "kind": WS_ANCHOR})
+        segments.append([f"J{c}_{r}", anchor])
+        workstations.append(
+            {"id": ws_id, "anchor": anchor, "processing_time_minutes": rng.randint(1, 3)}
+        )
+    return FloorGraph.from_json({
+        "schema_version": 1,
+        "adjacency_threshold_feet": 80,
+        "points": points,
+        "segments": segments,
+        "workstations": workstations,
+    })
+
+
 @pytest.fixture
 def line_graph():
     """Three workstations on a straight aisle: A --10-- B --20-- C."""

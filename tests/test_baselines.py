@@ -156,6 +156,24 @@ def test_initial_partition_desk_layout_three_zones():
     assert covered == sorted(graph.workstations)
 
 
+def test_initial_partition_searches_free_paths_once_per_source(monkeypatch):
+    from tests.conftest import grid_layout
+
+    graph = grid_layout(random.Random("seeds-48"), 9, 7, 48)
+    free_sources = []
+    settle = graph._settle
+    monkeypatch.setattr(
+        graph,
+        "_settle",
+        lambda source, targets, allowed, wanted: (
+            allowed is None and free_sources.append(source)
+        ) or settle(source, targets, allowed, wanted),
+    )
+    p = initial_partition(graph, 6)
+    assert validate_partition(graph, p) == []
+    assert len(free_sources) == len(set(free_sources)) < len(graph.workstations)
+
+
 def test_initial_partition_infeasible_count(dumbbell):
     with pytest.raises(InfeasibleStart):
         initial_partition(dumbbell, 7)

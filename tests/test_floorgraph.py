@@ -251,6 +251,47 @@ def test_paths_to_each_equal_single_target_searches(name):
         assert g.shortest_paths_to_each(source, targets, allowed) == expect
 
 
+@pytest.mark.parametrize("name", ["layout18", "fig2", "dumbbell", "grid-3", "grid-4"])
+def test_kept_free_paths_equal_reference_in_any_order(name):
+    """A miss keeps the source's paths to every anchor; each answer, searched
+    or kept, equals the reference, whatever order the pairs come in."""
+    from dynzone.datafiles import load_layout
+
+    g = _tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
+    fresh = FloorGraph.from_json(g.to_json())
+    anchors = sorted(g.anchor_of(w) for w in g.workstations)
+    points = anchors + [p for p in sorted(g.points) if p not in anchors][:1]  # and a junction
+    pairs = [(s, t) for s in points for t in points]
+    random.Random(name).shuffle(pairs)
+    for source, target in pairs:
+        expect = reference_dijkstra.shortest_path_points(g, source, {target})
+        assert fresh.shortest_path_points(source, {target}) == expect
+    for a in g.workstations:
+        for b in g.workstations:
+            expect = reference_dijkstra.shortest_path_points(g, g.anchor_of(a), {g.anchor_of(b)})
+            assert fresh.shortest_path(a, b) == expect
+
+
+def test_free_path_miss_searches_once_per_source(monkeypatch):
+    g = _tie_grid(5)
+    anchors = sorted(g.anchor_of(w) for w in g.workstations)
+    searches = []
+    settle = g._settle
+    monkeypatch.setattr(
+        g, "_settle", lambda source, *rest: searches.append(source) or settle(source, *rest)
+    )
+    for source in anchors:
+        for target in anchors:
+            g.shortest_path_points(source, {target})
+    assert searches == anchors
+    # Restricted and multi-target queries search every time.
+    searches.clear()
+    for _ in range(2):
+        g.shortest_path_points(anchors[0], {anchors[1]}, set(g.segments))
+        g.shortest_path_points(anchors[0], set(anchors[1:]))
+    assert searches == [anchors[0]] * 4
+
+
 def test_paths_to_each_rejects_unknown_source(line_graph):
     with pytest.raises(LayoutError):
         line_graph.shortest_paths_to_each("nowhere", {"A"})

@@ -10,11 +10,13 @@ from dynzone.errors import (
     WouldDisconnect,
     WouldEmptyZone,
     ZeroVelocity,
+    ZoneViolation,
 )
 from dynzone.floorgraph import WS_ANCHOR
 from dynzone.zoning import (
     FlowMatrix,
     HandlingTimes,
+    TransferStation,
     Zone,
     ZonePartition,
     assign_transfer_stations,
@@ -389,6 +391,28 @@ def test_crossing_connecting_path_violation(twozone_graph):
     assert any("crosses zone 2" in v for v in violations)
 
 
+def test_transfer_station_path_must_reach_its_path_zone(twozone_graph, twozone_partition):
+    # Zone 1 cannot reach WS3 of zone 2: no path joins A to zone 1.
+    unreached = ZonePartition(twozone_partition.zones, (TransferStation(3, (), 2, 1),))
+    with pytest.raises(NoFeasiblePath):
+        unreached.station_distances(twozone_graph, 1)
+    assert validate_partition(twozone_graph, unreached) == [
+        "connecting path of transfer station WS3 does not reach zone 1"
+    ]
+    full = assign_transfer_stations(twozone_graph, twozone_partition, loads={1: 20.0, 2: 10.0})
+    (ts,) = full.transfer_stations
+    assert (ts.ws, ts.path_zone) == (1, 2) and validate_partition(twozone_graph, full) == []
+    # Listed from the other end, the path still joins; one segment short of
+    # zone 2, or cut off from the station, it does not.
+    reverse = ZonePartition(full.zones, (TransferStation(1, ts.path[::-1], 1, 2),))
+    assert validate_partition(twozone_graph, reverse) == []
+    for path in (ts.path[:-1], ts.path[1:]):
+        cut = ZonePartition(full.zones, (TransferStation(1, path, 1, 2),))
+        assert validate_partition(twozone_graph, cut) == [
+            "connecting path of transfer station WS1 does not reach zone 2"
+        ]
+
+
 def test_valid_two_zone_partition(twozone_graph, twozone_partition):
     full = assign_transfer_stations(
         twozone_graph, twozone_partition, loads={1: 10.0, 2: 20.0}
@@ -412,6 +436,126 @@ def test_plan_across_zones_goes_through_transfer_station(twozone_graph, twozone_
     assert legs == [(4, 2, 1), (2, 3, 2)]  # hand off at WS2
     # Starting from the transfer station itself: single remaining leg.
     assert plan_delivery(twozone_graph, full, 2, 3) == [(2, 3, 2)]
+
+
+def _uncached_plan(partition, src, dst):
+    """plan_delivery as it was before plans were kept on the partition."""
+    if src == dst:
+        return []
+    zs = partition.zone_of_ws(src)
+    zd = partition.zone_of_ws(dst)
+    if zs is None or zd is None:
+        raise ZoneViolation(f"WS{src if zs is None else dst} belongs to no zone")
+    if zs == zd:
+        return [(src, dst, zs)]
+    prev = {zs: zs}
+    frontier = [zs]
+    while frontier and zd not in prev:
+        nxt = []
+        for cur in frontier:
+            for nbr in partition.neighbor_zones(cur):
+                if nbr not in prev:
+                    prev[nbr] = cur
+                    nxt.append(nbr)
+        frontier = nxt
+    if zd not in prev:
+        raise NoFeasiblePath(f"zones {zs} and {zd} share no transfer-station route")
+    chain = [zd]
+    while chain[-1] != zs:
+        chain.append(prev[chain[-1]])
+    chain.reverse()
+    legs = []
+    cur_ws = src
+    for a, b in zip(chain, chain[1:]):
+        ts = min(partition.transfer_stations_between(a, b), key=lambda t: t.ws)
+        if cur_ws != ts.ws:
+            legs.append((cur_ws, ts.ws, a))
+        cur_ws = ts.ws
+    if cur_ws != dst:
+        legs.append((cur_ws, dst, zd))
+    return legs
+
+
+def _uncached_leg(graph, partition, src, dst):
+    """shortest_feasible_path as it was before legs were kept on the partition."""
+    zs = partition.zone_of_ws(src)
+    zd = partition.zone_of_ws(dst)
+    if zs is None or zd is None:
+        raise ZoneViolation(f"WS{src if zs is None else dst} belongs to no zone")
+    allowed = frozenset(
+        set(partition.zone(zs).segments)
+        | set(partition.zone(zd).segments)
+        | set(partition.unassigned_segments(graph))
+    )
+    return graph.shortest_path(src, dst, allowed)
+
+
+def _answer(query, *args):
+    try:
+        return query(*args)
+    except (ZoneViolation, NoFeasiblePath) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("design", ["layout18", "twozone", "twozone-assigned"])
+def test_kept_plans_and_legs_equal_uncached_answers(design, twozone_graph, twozone_partition):
+    from dynzone.baselines import initial_partition
+    from dynzone.datafiles import load_layout
+
+    if design == "layout18":
+        graph = load_layout("layout18")
+        partition = initial_partition(graph, 3)
+    else:
+        graph, partition = twozone_graph, twozone_partition
+        if design == "twozone-assigned":
+            partition = assign_transfer_stations(graph, partition, {1: 10.0, 2: 20.0})
+    stations = sorted(graph.workstations) + [99]  # WS99 is in no zone
+    pairs = [(a, b) for a in stations for b in stations]
+    expect = {
+        (a, b): (_answer(_uncached_plan, partition, a, b),
+                 _answer(_uncached_leg, graph, partition, a, b))
+        for a, b in pairs
+    }
+    design_copy = ZonePartition(partition.zones, partition.transfer_stations, partition.design_id)
+    for _ in range(2):  # the second pass reads the kept answers
+        for a, b in pairs:
+            got = (_answer(plan_delivery, graph, design_copy, a, b),
+                   _answer(shortest_feasible_path, graph, design_copy, a, b))
+            assert got == expect[(a, b)]
+    errors = {answer for both in expect.values() for answer in both if isinstance(answer, type)}
+    assert errors == ({ZoneViolation, NoFeasiblePath} if design == "twozone" else {ZoneViolation})
+
+
+def test_kept_plan_is_copied_to_each_caller(twozone_graph, twozone_partition):
+    full = assign_transfer_stations(twozone_graph, twozone_partition, {1: 10.0, 2: 20.0})
+    legs = plan_delivery(twozone_graph, full, 4, 3)
+    legs.append((0, 0, 0))
+    legs[0] = None
+    assert plan_delivery(twozone_graph, full, 4, 3) == [(4, 2, 1), (2, 3, 2)]
+
+
+def test_kept_legs_search_once_and_errors_search_every_call(monkeypatch, line_graph):
+    # WS1 and WS3 sit in zones that own no segment; zone 3 owns the whole aisle.
+    partition = ZonePartition(
+        (Zone(1, (1,), frozenset()), Zone(2, (3,), frozenset()),
+         Zone(3, (2,), frozenset(line_graph.segments)))
+    )
+    searches = []
+    search = line_graph.shortest_path
+    monkeypatch.setattr(
+        line_graph, "shortest_path", lambda *args: searches.append(args[:2]) or search(*args)
+    )
+    for _ in range(2):
+        with pytest.raises(NoFeasiblePath):
+            shortest_feasible_path(line_graph, partition, 1, 3)
+        with pytest.raises(ZoneViolation):
+            shortest_feasible_path(line_graph, partition, 1, 99)
+        with pytest.raises(ZoneViolation):
+            plan_delivery(line_graph, partition, 99, 1)
+        with pytest.raises(NoFeasiblePath):
+            plan_delivery(line_graph, partition, 1, 3)  # no transfer stations
+        assert shortest_feasible_path(line_graph, partition, 1, 2).distance == 10.0
+    assert searches == [(1, 3), (1, 2), (1, 3)]
 
 
 # ── Serialization ────────────────────────────────────────────────────
