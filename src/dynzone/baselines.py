@@ -392,7 +392,6 @@ def decode_genome(
     graph: FloorGraph,
     genome: Sequence[int],
     nz: int,
-    adj: Mapping[int, Sequence[int]] | None = None,
 ) -> ZonePartition | None:
     """Turn a workstation-to-zone vector into a valid partition.
 
@@ -401,9 +400,7 @@ def decode_genome(
     lowest zone id first. Returns None when no valid design results.
     """
     ws_ids = sorted(graph.workstations)
-    if adj is None:
-        adj = _ws_adjacency(graph)
-    repaired = _repair_genome(genome, ws_ids, nz, adj)
+    repaired = _repair_genome(genome, ws_ids, nz, _ws_adjacency(graph))
     if repaired is None:
         return None
     groups: dict[int, list[int]] = {z: [] for z in range(1, nz + 1)}
@@ -455,7 +452,6 @@ def ga_optimize(
     ws_ids = sorted(graph.workstations)
     if nz < 1 or nz > len(ws_ids):
         raise InfeasibleStart(f"cannot build {nz} zones from {len(ws_ids)} workstations")
-    adj = _ws_adjacency(graph)
 
     def mutate(genome: tuple[int, ...], rate: float) -> tuple[int, ...]:
         return tuple(
@@ -477,7 +473,7 @@ def ga_optimize(
 
     def evaluate(genome: tuple[int, ...]) -> tuple[float, bool]:
         if genome not in cache:
-            partition = decode_genome(graph, genome, nz, adj)
+            partition = decode_genome(graph, genome, nz)
             if partition is None:
                 cache[genome] = (-math.inf, False)
             else:
@@ -517,13 +513,12 @@ def ga_optimize(
             nxt.append(mutate(child, config.mutation))
         population = nxt
 
-    for g in ranked(population):
-        fit, valid = evaluate(g)
-        if valid and fit > best_fit:
-            best_genome, best_fit = g, fit
-            progress.append((config.generations, -best_fit))
-        break
-    partition = decode_genome(graph, best_genome, nz, adj)
+    g = ranked(population)[0]
+    fit, valid = evaluate(g)
+    if valid and fit > best_fit:
+        best_genome, best_fit = g, fit
+        progress.append((config.generations, -best_fit))
+    partition = decode_genome(graph, best_genome, nz)
     assert partition is not None
     return BaselineResult(partition, -best_fit, progress)
 

@@ -57,21 +57,6 @@ def metropolis_weights(graph: CommGraph) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConsensusState:
-    values: np.ndarray  # per-robot load estimates, minutes
-    iteration: int = 0
-
-
-def consensus_step(state: ConsensusState, graph: CommGraph) -> ConsensusState:
-    if len(state.values) != graph.n:
-        raise DimensionMismatch(
-            f"state has {len(state.values)} values, graph has {graph.n} nodes"
-        )
-    w = metropolis_weights(graph)
-    return ConsensusState(w @ state.values, state.iteration + 1)
-
-
-@dataclass(frozen=True)
 class ConsensusResult:
     values: np.ndarray
     steps: int

@@ -9,10 +9,8 @@ immutable after loading; every query here is a pure function of its inputs.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path as FilePath
 from typing import Iterable, Mapping
 
 from .errors import LayoutError, NoFeasiblePath, UnknownWorkstation
@@ -230,7 +228,7 @@ class FloorGraph:
         if source in targets:
             return Path((), 0.0, (source,))
         if allowed_segments is not None or len(targets) != 1:
-            return self._nearest(source, targets, allowed_segments)
+            return next(iter(self._settle(source, targets, allowed_segments, 1).values()), None)
         (target,) = targets
         key = (source, target)
         if key not in self._free_paths:
@@ -255,14 +253,6 @@ class FloorGraph:
         if source not in self.points:
             raise LayoutError(f"unknown point {source!r}")
         return self._settle(source, targets, allowed_segments, len(targets))
-
-    def _nearest(
-        self,
-        source: str,
-        targets: set[str] | frozenset[str],
-        allowed_segments: set[str] | frozenset[str] | None,
-    ) -> Path | None:
-        return next(iter(self._settle(source, targets, allowed_segments, 1).values()), None)
 
     def _settle(
         self,
@@ -433,17 +423,3 @@ class FloorGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise LayoutError(f"malformed layout file: {exc}") from exc
         return cls(points, segments, workstations, threshold)
-
-    @classmethod
-    def load(cls, path: str | FilePath) -> "FloorGraph":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise LayoutError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        return cls.from_json(data)
-
-    def save(self, path: str | FilePath) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")

@@ -59,9 +59,6 @@ class RobotQueue:
         if self.c_age < 0 or self.c_dist < 0:
             raise ValueError("c_age and c_dist must be >= 0")
 
-    def task_count(self) -> int:
-        return len(self.pending) + (self.selected is not None)
-
 
 def task_score(
     graph: FloorGraph,

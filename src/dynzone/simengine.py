@@ -93,6 +93,10 @@ class SimConfig:
             raise ValueError("l_tol, t_lt, and t_ac must be positive")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if min(self.consensus_eps, self.window_minutes, self.time_cap) <= 0:
+            raise ValueError("consensus_eps, window_minutes, and time_cap must be positive")
+        if min(self.consensus_max_steps, self.sa_iterations, self.stagger_minutes) < 0:
+            raise ValueError("consensus_max_steps, sa_iterations, and stagger_minutes must be >= 0")
 
     @classmethod
     def from_json(cls, data: Mapping, method: str, seed: int) -> "SimConfig":

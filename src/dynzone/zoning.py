@@ -9,8 +9,7 @@ values; every operation returns a fresh partition.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
@@ -199,20 +198,6 @@ class ZonePartition:
             self._per_graph[key] = row
         return row
 
-    def station_distances(self, graph: FloorGraph, zone_id: int) -> dict[tuple[int, int], float]:
-        """Path distances in feet between every ordered pair of the zone's
-        stations, over the zone's allowed segments, in station order.
-
-        Raises NoFeasiblePath when two stations are disconnected there.
-        """
-        stations = self.stations_of_zone(zone_id)
-        d: dict[tuple[int, int], float] = {}
-        for i in stations:
-            row = self.station_row(graph, zone_id, i)
-            for j in stations:
-                d[(i, j)] = row[j]
-        return d
-
     def transfer_stations_between(self, a: int, b: int) -> tuple[TransferStation, ...]:
         """The transfer stations joining zones a and b, in design order."""
         return self._between.get((a, b) if a <= b else (b, a), ())
@@ -271,51 +256,6 @@ class FlowMatrix:
 
     def __repr__(self) -> str:
         return f"FlowMatrix({self._f!r})"
-
-
-@dataclass(frozen=True)
-class LoadBreakdown:
-    """A zone's load figure and the per-pair terms behind it.
-
-    The per-pair dicts, keyed by ordered station pair in station order,
-    are built on first read, from the flows the load was computed from:
-    the load itself reads only the distances from stations whose trips it
-    counts.
-    """
-
-    stations: tuple[int, ...]
-    total_flow: float
-    load: float  # minutes
-    _inflow: dict[int, float] = field(repr=False, compare=False)  # loaded trips ending at i
-    _outflow: dict[int, float] = field(repr=False, compare=False)  # loaded trips starting at i
-    _flows: FlowMatrix = field(repr=False, compare=False)
-    _zone: tuple[FloorGraph, ZonePartition, int] = field(repr=False, compare=False)
-
-    @cached_property
-    def d(self) -> dict[tuple[int, int], float]:
-        """Path distances, feet."""
-        graph, partition, zone_id = self._zone
-        return partition.station_distances(graph, zone_id)
-
-    @cached_property
-    def g(self) -> dict[tuple[int, int], float]:
-        """Expected empty trips."""
-        total = self.total_flow
-        return {
-            (i, j): self._inflow[i] * self._outflow[j] / total if total > 0 else 0.0
-            for i in self._inflow
-            for j in self._inflow
-        }
-
-    @cached_property
-    def empty_distance(self) -> dict[tuple[int, int], float]:
-        """g * d, feet."""
-        return {ij: self.g[ij] * dij for ij, dij in self.d.items()}
-
-    @cached_property
-    def loaded_distance(self) -> dict[tuple[int, int], float]:
-        """f * d, feet."""
-        return {(i, j): self._flows.get(i, j) * dij for (i, j), dij in self.d.items()}
 
 
 # ── Tip workstations ─────────────────────────────────────────────────
@@ -620,9 +560,10 @@ def zone_load(
     flows: FlowMatrix,
     velocity: float,
     handling: HandlingTimes,
-) -> LoadBreakdown:
-    """Minutes the zone's robot needs for its loaded trips, expected empty
-    trips, and handling, over the zone's workstations and transfer stations.
+) -> float:
+    """The zone's load: the minutes its robot needs for its loaded trips,
+    expected empty trips, and handling, over the zone's workstations and
+    transfer stations.
 
     Expected empty trips from i to j scale with the loaded inflow at i
     times the loaded outflow at j, normalized by total flow; with zero
@@ -670,8 +611,7 @@ def zone_load(
         loaded.extend(to[j] * row[j] for j in dests)
     if not read_row and stations:
         partition.station_row(graph, zone_id, stations[0])
-    load = (sum(empty) + sum(loaded)) / velocity + total * handling.total
-    return LoadBreakdown(stations, total, load, inflow, outflow, flows, (graph, partition, zone_id))
+    return (sum(empty) + sum(loaded)) / velocity + total * handling.total
 
 
 def zone_loads(
@@ -683,7 +623,7 @@ def zone_loads(
 ) -> dict[int, float]:
     """Load of every zone, in partition order, from its per-zone flows."""
     return {
-        z.id: zone_load(graph, partition, z.id, flows[z.id], velocity, handling).load
+        z.id: zone_load(graph, partition, z.id, flows[z.id], velocity, handling)
         for z in partition.zones
     }
 
@@ -952,17 +892,3 @@ def partition_from_json(data: Mapping) -> ZonePartition:
         raise LayoutError(f"malformed partition file: {exc}") from exc
     return ZonePartition(zones, stations, design_id)
 
-
-def save_partition(partition: ZonePartition, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(partition_to_json(partition), fh, indent=2)
-        fh.write("\n")
-
-
-def load_partition(path) -> ZonePartition:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LayoutError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return partition_from_json(data)

@@ -9,7 +9,7 @@ import pytest
 from dynzone.cli import main
 from dynzone.datafiles import data_text, load_layout
 from dynzone.errors import DeadlockDetected
-from dynzone.zoning import load_partition, validate_partition
+from dynzone.zoning import partition_from_json, validate_partition
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def test_optimize_single_zone_trivial(tmp_path, toy_scenario):
          "--method", "sa", "--nz", "1", "--seed", "0", "--out", str(out)]
     )
     assert code == 0
-    partition = load_partition(out)
+    partition = partition_from_json(json.loads(out.read_text()))
     assert partition.nz == 1
     assert sorted(partition.zones[0].workstations) == [1, 2, 3, 4, 5, 6]
     assert validate_partition(load_layout("dumbbell"), partition) == []
@@ -140,6 +140,21 @@ def test_simulate_scenario_layout_mismatch_exit_2(tmp_path):
          "--method", "sa", "--seed", "0", "--out", str(tmp_path / "run")]
     )
     assert code == 2
+
+
+def test_simulate_rejects_bad_config_before_writing(tmp_path, toy_scenario, capsys):
+    config = json.loads(data_text("config_default"))
+    config["consensus"]["eps"] = 0.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run = tmp_path / "run"
+    code = main(
+        ["simulate", "--layout", "dumbbell", "--scenario", toy_scenario, "--config", str(path),
+         "--method", "ddz", "--seed", "0", "--out", str(run)]
+    )
+    assert code == 2
+    assert "consensus_eps" in capsys.readouterr().err
+    assert not (run / "manifest.json").exists()
 
 
 def test_simulate_with_trained_partition(tmp_path, toy_scenario):

@@ -7,9 +7,7 @@ import pytest
 
 from dynzone.consensus import (
     CommGraph,
-    ConsensusState,
     comm_graph,
-    consensus_step,
     metropolis_weights,
     run_consensus,
 )
@@ -45,29 +43,27 @@ def test_complete_graph_weights():
 
 def test_fixed_point_when_equal():
     g = comm_graph(TRIANGLE, comm_range=12.0)
-    state = ConsensusState(np.array([7.0, 7.0, 7.0]))
-    after = consensus_step(state, g)
-    assert np.allclose(after.values, state.values)
-    assert after.iteration == 1
+    x = np.array([7.0, 7.0, 7.0])
+    after = metropolis_weights(g) @ x
+    assert np.allclose(after, x)
 
 
 def test_line_graph_single_step():
     g = comm_graph(LINE, comm_range=10.0)
-    after = consensus_step(ConsensusState(np.array([0.0, 3.0, 6.0])), g)
-    assert np.allclose(after.values, [1.0, 3.0, 5.0])
+    after = metropolis_weights(g) @ np.array([0.0, 3.0, 6.0])
+    assert np.allclose(after, [1.0, 3.0, 5.0])
 
 
 def test_empty_edge_set_is_identity():
     g = comm_graph(LINE, comm_range=1.0)
     x = np.array([4.0, 8.0, 1.0])
-    after = consensus_step(ConsensusState(x), g)
-    assert np.allclose(after.values, x)
+    after = metropolis_weights(g) @ x
+    assert np.allclose(after, x)
 
 
 def test_dimension_mismatch():
-    g = comm_graph(LINE, comm_range=10.0)
     with pytest.raises(DimensionMismatch):
-        consensus_step(ConsensusState(np.array([1.0, 2.0])), g)
+        run_consensus([1.0, 2.0], LINE, comm_range=10.0)
 
 
 def test_single_robot_immediate():
@@ -130,21 +126,22 @@ def test_mean_preserved_under_time_varying_graphs():
     n = 6
     loads = [rng.uniform(0, 100) for _ in range(n)]
     mean0 = sum(loads) / n
-    state = ConsensusState(np.array(loads))
+    x = np.array(loads)
     for _ in range(60):
         pos = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
-        state = consensus_step(state, comm_graph(pos, comm_range=50.0))
-        assert state.values.mean() == pytest.approx(mean0, rel=1e-9)
+        x = metropolis_weights(comm_graph(pos, comm_range=50.0)) @ x
+        assert x.mean() == pytest.approx(mean0, rel=1e-9)
 
 
 def test_spread_monotone_on_static_connected_graph():
     rng = random.Random(23)
     pos, g = _random_geometric(rng, 7)
-    state = ConsensusState(np.array([rng.uniform(0, 60) for _ in range(7)]))
-    spread = state.values.max() - state.values.min()
+    x = np.array([rng.uniform(0, 60) for _ in range(7)])
+    w = metropolis_weights(g)
+    spread = x.max() - x.min()
     for _ in range(400):
-        state = consensus_step(state, g)
-        new_spread = state.values.max() - state.values.min()
+        x = w @ x
+        new_spread = x.max() - x.min()
         assert new_spread <= spread + 1e-12
         spread = new_spread
     assert spread < 1e-6

@@ -229,7 +229,7 @@ def test_conservation_under_random_repairs(dumbbell, three_zones):
             for z in three_zones.zones
         },
     )
-    total = sum(q.task_count() for q in queues.values())
+    total = sum(len(q.pending) + (q.selected is not None) for q in queues.values())
     shifted = assign_transfer_stations(
         dumbbell,
         ZonePartition(
@@ -241,6 +241,6 @@ def test_conservation_under_random_repairs(dumbbell, three_zones):
         ),
     )
     rebuilt = requeue_after_repair(dumbbell, queues, shifted)
-    assert sum(q.task_count() for q in rebuilt.values()) == total
+    assert sum(len(q.pending) + (q.selected is not None) for q in rebuilt.values()) == total
     ids = sorted(t.part_id for q in rebuilt.values() for t in q.pending)
     assert ids == sorted(t.part_id for q in queues.values() for t in q.pending)

@@ -65,6 +65,29 @@ def test_balance_timing_must_be_positive(field):
         SimConfig(**{field: -1.0})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("consensus_eps", 0.0),
+        ("consensus_eps", -1e-4),
+        ("consensus_max_steps", -1),
+        ("window_minutes", 0.0),
+        ("time_cap", 0.0),
+        ("time_cap", -1.0),
+        ("sa_iterations", -1),
+        ("stagger_minutes", -0.5),
+    ],
+)
+def test_config_rejects_values_that_would_fail_later(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(method="ddz", n_robots=3, **{field: value})
+
+
+def test_config_accepts_zero_counts_and_stagger():
+    cfg = SimConfig(consensus_max_steps=0, sa_iterations=0, stagger_minutes=0.0)
+    assert (cfg.consensus_max_steps, cfg.sa_iterations, cfg.stagger_minutes) == (0, 0, 0.0)
+
+
 def test_config_from_shipped_json():
     cfg = SimConfig.from_json(load_config("config_default"), "ddz", seed=7)
     assert cfg.velocity == 200.0

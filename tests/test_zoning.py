@@ -253,17 +253,15 @@ def pair_zone():
 
 def test_zero_flow_zero_load(pair_zone):
     g, partition = pair_zone
-    breakdown = zone_load(g, partition, 1, FlowMatrix(), 100.0, HandlingTimes(0.5, 0.5))
-    assert breakdown.load == 0.0
-    assert all(v == 0.0 for v in breakdown.g.values())
+    assert zone_load(g, partition, 1, FlowMatrix(), 100.0, HandlingTimes(0.5, 0.5)) == 0.0
 
 
 def test_hand_computed_two_station_load(pair_zone):
     g, partition = pair_zone
     flows = FlowMatrix({(1, 2): 3.0})
-    breakdown = zone_load(g, partition, 1, flows, 100.0, HandlingTimes(0.5, 0.5))
-    assert breakdown.g[(2, 1)] == pytest.approx(3.0)
-    assert breakdown.load == pytest.approx(9.0)
+    # 3 loaded trips 1->2 and 3 expected empty trips 2->1, one minute each.
+    assert zone_load(g, partition, 1, flows, 100.0, NO_HANDLING) == pytest.approx(6.0)
+    assert zone_load(g, partition, 1, flows, 100.0, HandlingTimes(0.5, 0.5)) == pytest.approx(9.0)
 
 
 def test_zero_velocity_rejected(pair_zone):
@@ -277,6 +275,7 @@ def _literal_load(dist, flows, stations, velocity, t_u, t_l):
     library code path on purpose."""
     total = sum(flows.get((m, n), 0.0) for m in stations for n in stations)
     load = 0.0
+    empty_trips = 0.0
     for i in stations:
         for j in stations:
             f_ij = flows.get((i, j), 0.0)
@@ -288,9 +287,21 @@ def _literal_load(dist, flows, stations, velocity, t_u, t_l):
                 )
             else:
                 g_ij = 0.0
+            empty_trips += g_ij
             load += (g_ij * dist[(i, j)] + f_ij * dist[(i, j)]) / velocity
     load += total * (t_u + t_l)
+    if total > 0:
+        assert empty_trips == pytest.approx(total, rel=1e-9)
     return load
+
+
+def _station_matrix(graph, partition, zone_id):
+    """Distances between every ordered pair of the zone's stations, in
+    station order, read from the kept station rows."""
+    stations = partition.stations_of_zone(zone_id)
+    return {
+        (i, j): partition.station_row(graph, zone_id, i)[j] for i in stations for j in stations
+    }
 
 
 def test_load_matches_literal_formula_oracle():
@@ -317,12 +328,9 @@ def test_load_matches_literal_formula_oracle():
                     c = float(rng.randint(0, 8))
                     flows.add(i, j, c)
                     raw[(i, j)] = raw.get((i, j), 0.0) + c
-        breakdown = zone_load(g, partition, 1, flows, 120.0, HandlingTimes(0.3, 0.2))
-        expect = _literal_load(breakdown.d, raw, stations, 120.0, 0.3, 0.2)
-        assert breakdown.load == pytest.approx(expect, rel=1e-9)
-        total_g = sum(breakdown.g.values())
-        if flows.total() > 0:
-            assert total_g == pytest.approx(flows.total(), rel=1e-9)
+        load = zone_load(g, partition, 1, flows, 120.0, HandlingTimes(0.3, 0.2))
+        dist = _station_matrix(g, partition, 1)
+        assert load == pytest.approx(_literal_load(dist, raw, stations, 120.0, 0.3, 0.2), rel=1e-9)
 
 
 def test_load_monotone_in_flows(pair_zone):
@@ -333,7 +341,7 @@ def test_load_monotone_in_flows(pair_zone):
     for _ in range(20):
         i, j = rng.sample([1, 2], 2)
         flows.add(i, j, 1.0)
-        load = zone_load(g, partition, 1, flows, 100.0, HandlingTimes(0.1, 0.1)).load
+        load = zone_load(g, partition, 1, flows, 100.0, HandlingTimes(0.1, 0.1))
         assert load >= prev - 1e-9
         prev = load
 
@@ -395,7 +403,7 @@ def test_transfer_station_path_must_reach_its_path_zone(twozone_graph, twozone_p
     # Zone 1 cannot reach WS3 of zone 2: no path joins A to zone 1.
     unreached = ZonePartition(twozone_partition.zones, (TransferStation(3, (), 2, 1),))
     with pytest.raises(NoFeasiblePath):
-        unreached.station_distances(twozone_graph, 1)
+        _station_matrix(twozone_graph, unreached, 1)
     assert validate_partition(twozone_graph, unreached) == [
         "connecting path of transfer station WS3 does not reach zone 1"
     ]
@@ -648,7 +656,7 @@ def _cached_lookups(graph, p, ids):
         out[("stations", zid)] = p.stations_of_zone(zid)
         out[("allowed", zid)] = p.allowed_segments(graph, zid)
         try:
-            out[("distances", zid)] = dict(p.station_distances(graph, zid))
+            out[("distances", zid)] = _station_matrix(graph, p, zid)
         except NoFeasiblePath:
             out[("distances", zid)] = None
     return out
@@ -694,9 +702,9 @@ def test_cached_partition_lookups_equal_linear_scans():
 
 def _full_matrix_load(graph, partition, zone_id, flows, velocity, handling):
     """The load summed over every ordered pair of the full station matrix,
-    zero terms included, with the per-pair dicts behind it."""
+    zero terms included."""
     stations = partition.stations_of_zone(zone_id)
-    d = partition.station_distances(graph, zone_id)
+    d = _station_matrix(graph, partition, zone_id)
     inflows = {i: [] for i in stations}
     outflows = {i: [] for i in stations}
     for (src, dst), c in flows.items():
@@ -714,8 +722,7 @@ def _full_matrix_load(graph, partition, zone_id, flows, velocity, handling):
         g = dict.fromkeys(pairs, 0.0)
     da = {ij: g[ij] * d[ij] for ij in pairs}
     db = {(i, j): flows.get(i, j) * d[(i, j)] for i, j in pairs}
-    load = (sum(da.values()) + sum(db.values())) / velocity + total * handling.total
-    return load, d, g, da, db
+    return (sum(da.values()) + sum(db.values())) / velocity + total * handling.total
 
 
 def _designs(graph):
@@ -754,13 +761,7 @@ def test_sparse_load_equals_full_matrix_sum_exactly():
                     velocity = rng.uniform(20.0, 200.0)
                     handling = HandlingTimes(rng.uniform(0, 1), rng.uniform(0, 1))
                     got = zone_load(graph, design, z.id, flows, velocity, handling)
-                    load, d, g, da, db = _full_matrix_load(
-                        graph, design, z.id, flows, velocity, handling
-                    )
-                    assert got.load == load
-                    assert (got.d, got.g, got.empty_distance, got.loaded_distance) == (
-                        d, g, da, db
-                    )
+                    assert got == _full_matrix_load(graph, design, z.id, flows, velocity, handling)
                     checked += 1
     assert checked >= 2000
 
@@ -801,7 +802,7 @@ def test_zone_loads_sweep_once_per_flow_carrying_station(monkeypatch):
         loads = zone_loads(graph, design, flows, 100.0, handling)
         assert len(sweeps) == expect < sum(len(design.stations_of_zone(z.id)) for z in design.zones)
         assert loads == {
-            z.id: _full_matrix_load(graph, design, z.id, flows[z.id], 100.0, handling)[0]
+            z.id: _full_matrix_load(graph, design, z.id, flows[z.id], 100.0, handling)
             for z in design.zones
         }
         sweeps.clear()
