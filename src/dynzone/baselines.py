@@ -54,7 +54,6 @@ class PartHistoryWindow:
 
 def flow_from_history(
     window: PartHistoryWindow,
-    graph: FloorGraph,
     partition: ZonePartition,
 ) -> dict[int, FlowMatrix]:
     """Per-zone loaded-trip counts from the delivery history, re-attributed
@@ -62,13 +61,13 @@ def flow_from_history(
     leg, split at the transfer stations the partition would use."""
     flows = {z.id: FlowMatrix() for z in partition.zones}
     for _, src, dst, _ in window.records:
-        for pickup, dropoff, zone_id in plan_delivery(graph, partition, src, dst):
+        for pickup, dropoff, zone_id in plan_delivery(partition, src, dst):
             flows[zone_id].add(pickup, dropoff, 1.0)
     return flows
 
 
-def history_flow_source(window: PartHistoryWindow, graph: FloorGraph) -> FlowSource:
-    return lambda partition: flow_from_history(window, graph, partition)
+def history_flow_source(window: PartHistoryWindow) -> FlowSource:
+    return lambda partition: flow_from_history(window, partition)
 
 
 # ── Shared evaluation ────────────────────────────────────────────────
@@ -527,7 +526,6 @@ def ga_optimize(
 
 
 def load_share_dispatch(
-    graph: FloorGraph,
     partition: ZonePartition,
     location: int,
     destination: int,
@@ -539,7 +537,7 @@ def load_share_dispatch(
     if location == destination:
         return []
     if balanced:
-        return plan_delivery(graph, partition, location, destination)
+        return plan_delivery(partition, location, destination)
     zone_id = partition.zone_of_ws(location)
     if zone_id is None:
         raise OrphanPart(f"WS{location} is in no zone")

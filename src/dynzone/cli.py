@@ -105,7 +105,7 @@ def _config_hash(data: dict) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
-def _scenario_flow_source(graph: FloorGraph, scenario: dict):
+def _scenario_flow_source(scenario: dict):
     """Flows implied by a scenario's routes: one loaded trip per route hop,
     re-attributed per candidate partition (training on the known part mix)."""
     window = PartHistoryWindow(window_minutes=float("inf"))
@@ -113,7 +113,7 @@ def _scenario_flow_source(graph: FloorGraph, scenario: dict):
         for src, dst in zip(route, route[1:]):
             if src != dst:
                 window.add(pid, src, dst, 0.0)
-    return history_flow_source(window, graph)
+    return history_flow_source(window)
 
 
 # ── optimize ─────────────────────────────────────────────────────────
@@ -125,7 +125,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     config, _, _ = _read_input(args.config)
     sim_cfg = SimConfig.from_json(config, args.method, args.seed)
 
-    flow_source = _scenario_flow_source(graph, scenario)
+    flow_source = _scenario_flow_source(scenario)
     rng = random.Random(args.seed)
     if args.method == "sa":
         result = sa_optimize(

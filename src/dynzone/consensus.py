@@ -8,49 +8,38 @@ is preserved while every estimate converges toward it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
-class CommGraph:
-    """Snapshot of who can talk to whom at one instant."""
-
-    positions: np.ndarray  # shape (n, 2), feet
-    range: float
-    edges: tuple[tuple[int, int], ...]  # i < j pairs within range
-    degrees: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-
-def comm_graph(positions: Sequence[Sequence[float]], comm_range: float) -> CommGraph:
-    q = np.asarray(positions, dtype=float).reshape(-1, 2)
-    n = len(q)
-    edges = []
-    degrees = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if float(np.linalg.norm(q[j] - q[i])) <= comm_range:
-                edges.append((i, j))
-                degrees[i] += 1
-                degrees[j] += 1
-    return CommGraph(q, float(comm_range), tuple(edges), tuple(degrees))
+def comm_graph(
+    positions: Mapping[int, tuple[float, float]], comm_range: float
+) -> dict[int, tuple[int, ...]]:
+    """Each robot's peers, in id order: the robots at most comm_range feet
+    away. This is the one range rule; consensus, the start signal and the
+    ddz search all read these peer lists."""
+    robots = sorted(positions.items())
+    return {
+        r: tuple(o for o, (ox, oy) in robots if o != r and math.hypot(ox - x, oy - y) <= comm_range)
+        for r, (x, y) in robots
+    }
 
 
-def metropolis_weights(graph: CommGraph) -> np.ndarray:
-    """Mixing matrix: W_ij = 1/(1 + max(d_i, d_j)) on edges, diagonal fills
-    each row to sum 1. Symmetric, row-stochastic, entrywise in [0, 1]."""
-    n = graph.n
+def metropolis_weights(links: Mapping[int, Sequence[int]]) -> np.ndarray:
+    """Mixing matrix over the peer lists of robots 0..n-1:
+    W_ij = 1/(1 + max(d_i, d_j)) between peers, where d is the length of a
+    peer list; the diagonal fills each row to sum 1. Symmetric,
+    row-stochastic, entrywise in [0, 1]."""
+    n = len(links)
     w = np.zeros((n, n))
-    for i, j in graph.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(graph.degrees[i], graph.degrees[j]))
+    for i, peers in links.items():
+        for j in peers:
+            w[i, j] = 1.0 / (1.0 + max(len(peers), len(links[j])))
     for i in range(n):
         w[i, i] = 1.0 - w[i].sum()
     return w
@@ -81,10 +70,10 @@ def run_consensus(
     if eps <= 0:
         raise ValueError("eps must be positive")
     values = np.asarray(loads, dtype=float)
-    graph = comm_graph(positions, comm_range)
-    if len(values) != graph.n:
-        raise DimensionMismatch(f"{len(values)} loads, {graph.n} positions")
-    w = metropolis_weights(graph)
+    links = comm_graph(dict(enumerate(positions)), comm_range)
+    if len(values) != len(links):
+        raise DimensionMismatch(f"{len(values)} loads, {len(links)} positions")
+    w = metropolis_weights(links)
     mean = float(values.mean()) if len(values) else 0.0
     spread = float(np.abs(values - mean).max()) if len(values) else 0.0
     steps = 0

@@ -4,10 +4,10 @@ the per-leader annealing search over tip-workstation exchanges.
 Each robot owns the zone with its own id. When a robot's load stays out of
 tolerance against the consensus average for long enough, it signals its
 neighbors, the signal floods through the communication graph, and the
-connected component runs leader-rotating annealing: the leader repeatedly
-trades a random tip workstation with a random neighbor, re-queues the
-affected parts, and accepts or rejects the move against the local load
-standard deviation under a geometric cooling schedule.
+robots it reached pause and run leader-rotating annealing: the leader
+repeatedly trades a random tip workstation with a random neighbor,
+re-queues the affected parts, and accepts or rejects the move against the
+local load standard deviation under a geometric cooling schedule.
 """
 
 from __future__ import annotations
@@ -72,15 +72,13 @@ def load_sigma(
     own_load: float,
     consensus_value: float,
     neighbor_loads: Sequence[float],
-    literal_sign: bool = False,
 ) -> float:
     """Standard deviation of the local loads against the consensus average.
 
-    The default uses (own_load - consensus_value)^2 so a perfectly balanced
-    neighborhood scores zero. literal_sign=True flips the own-load term to
-    (own_load + consensus_value)^2 for comparison runs.
+    The own-load term is (own_load - consensus_value)^2, so a perfectly
+    balanced neighborhood scores zero.
     """
-    own = own_load + consensus_value if literal_sign else own_load - consensus_value
+    own = own_load - consensus_value
     total = own * own + sum((lj - consensus_value) ** 2 for lj in neighbor_loads)
     return math.sqrt(total / (len(neighbor_loads) + 1))
 
@@ -108,21 +106,14 @@ def detect_imbalance(
     return streak_start is not None and now - streak_start >= t_lt
 
 
-def propagate_start(
-    origin: int,
-    positions: Mapping[int, tuple[float, float]],
-    comm_range: float,
-) -> frozenset[int]:
-    """Robots reached by flood-filling the start signal from origin."""
+def propagate_start(origin: int, links: Mapping[int, Sequence[int]]) -> frozenset[int]:
+    """Robots reached by flood-filling the start signal from origin over
+    the peer lists of consensus.comm_graph."""
     reached = {origin}
     frontier = [origin]
     while frontier:
-        cur = frontier.pop()
-        qx, qy = positions[cur]
-        for other, (ox, oy) in positions.items():
-            if other in reached:
-                continue
-            if math.hypot(ox - qx, oy - qy) <= comm_range:
+        for other in links[frontier.pop()]:
+            if other not in reached:
                 reached.add(other)
                 frontier.append(other)
     return frozenset(reached)
@@ -136,7 +127,6 @@ class DdzConfig:
     iterations: int = 0  # 0: spread the cooling schedule across all episodes
     iteration_minutes: float = 0.02  # simulated communication cost per iteration
     temperature_resets_per_episode: bool = False
-    literal_sigma: bool = False
 
     def __post_init__(self) -> None:
         if self.episodes < 0 or self.iterations < 0 or self.iteration_minutes < 0:
@@ -154,7 +144,6 @@ class QueuedPart:
 
 def queue_flows(
     partition: ZonePartition,
-    graph: FloorGraph,
     tasks: Sequence[QueuedPart],
 ) -> dict[int, FlowMatrix]:
     """Per-zone flows from the parts currently waiting, re-queued under the
@@ -162,7 +151,7 @@ def queue_flows(
     zone serving that leg."""
     flows: dict[int, FlowMatrix] = {z.id: FlowMatrix() for z in partition.zones}
     for task in tasks:
-        legs = plan_delivery(graph, partition, task.location, task.destination)
+        legs = plan_delivery(partition, task.location, task.destination)
         if legs:
             pickup, dropoff, zone_id = legs[0]
             flows[zone_id].add(pickup, dropoff, 1.0)
@@ -176,7 +165,7 @@ def fleet_loads(
     velocity: float,
     handling: HandlingTimes,
 ) -> dict[int, float]:
-    return zone_loads(graph, partition, queue_flows(partition, graph, tasks), velocity, handling)
+    return zone_loads(graph, partition, queue_flows(partition, tasks), velocity, handling)
 
 
 @dataclass
@@ -193,8 +182,7 @@ class DdzResult:
 def ddz_optimize(
     graph: FloorGraph,
     partition: ZonePartition,
-    positions: Mapping[int, tuple[float, float]],
-    comm_range: float,
+    links: Mapping[int, Sequence[int]],
     tasks: Sequence[QueuedPart],
     consensus_values: Mapping[int, float],
     origin: int,
@@ -206,29 +194,18 @@ def ddz_optimize(
 ) -> DdzResult:
     """Run the leader-rotating annealing search and return the adopted design.
 
-    The robots reached by flooding the start signal from origin over
-    links of at most comm_range feet take part.
+    links holds each robot's peers (consensus.comm_graph) among the robots
+    the repair paused. The robots the start signal reaches from origin over
+    them take part, and each one's peers are its neighbors for the search.
 
     rng is the run's seeded random stream; every proposal, tip draw, and
     acceptance draw comes from it, so a fixed seed replays bit-identically.
     The trace records one entry per proposal with sigma before/after, the
     acceptance probability, and the drawn uniform.
     """
-    participants = sorted(propagate_start(origin, positions, comm_range))
+    participants = sorted(propagate_start(origin, links))
     if len(participants) < 2:
         raise NoNeighbors(f"robot {origin} has no neighbors in range")
-
-    # Positions are fixed for the call, so each robot's neighbors are too.
-    neighbors: dict[int, list[int]] = {}
-    for robot in participants:
-        qx, qy = positions[robot]
-        neighbors[robot] = [
-            other
-            for other in participants
-            if other != robot
-            and math.hypot(positions[other][0] - qx, positions[other][1] - qy)
-            <= comm_range
-        ]
 
     episodes = config.episodes or len(participants)
     iterations = config.iterations or max(1, -(-(schedule.reductions + 1) // episodes))
@@ -240,8 +217,7 @@ def ddz_optimize(
         return load_sigma(
             loads[robot],
             consensus_values[robot],
-            [loads[j] for j in neighbors[robot]],
-            literal_sign=config.literal_sigma,
+            [loads[j] for j in links[robot]],
         )
 
     moves = TipMoves(graph, partition, loads_of(partition), loads_of, participants)
@@ -262,7 +238,7 @@ def ddz_optimize(
             iterations_run += 1
             loads = moves.loads
             sigma_cur = sigma_at(leader, loads)
-            j = rng.choice(neighbors[leader])
+            j = rng.choice(links[leader])
             giver, receiver = (leader, j) if loads[leader] >= loads[j] else (j, leader)
             proposal = moves.propose(giver, receiver, rng)
             if proposal is None:

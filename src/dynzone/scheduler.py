@@ -129,7 +129,6 @@ def select_next(
 
 
 def plan_leg(
-    graph: FloorGraph,
     partition: ZonePartition,
     task: PartTask,
 ) -> tuple[PartTask, int]:
@@ -142,7 +141,7 @@ def plan_leg(
     zone_id = partition.zone_of_ws(task.pickup)
     if zone_id is None:
         raise OrphanPart(f"part {task.part_id} waits at WS{task.pickup}, which is in no zone")
-    legs = plan_delivery(graph, partition, task.pickup, task.destination)
+    legs = plan_delivery(partition, task.pickup, task.destination)
     if not legs:
         return replace(task, dropoff=task.destination), zone_id
     pickup, dropoff, serving_zone = legs[0]
@@ -150,7 +149,6 @@ def plan_leg(
 
 
 def requeue_after_repair(
-    graph: FloorGraph,
     queues: Mapping[int, RobotQueue],
     partition: ZonePartition,
 ) -> dict[int, RobotQueue]:
@@ -168,7 +166,7 @@ def requeue_after_repair(
     moved: list[tuple[int, PartTask]] = []
     for q in queues.values():
         for task in q.pending:
-            new_task, serving_zone = plan_leg(graph, partition, task)
+            new_task, serving_zone = plan_leg(partition, task)
             if serving_zone not in rebuilt:
                 raise OrphanPart(
                     f"part {task.part_id} maps to zone {serving_zone} with no robot"

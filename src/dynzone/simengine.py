@@ -30,7 +30,7 @@ from .baselines import (
     load_share_dispatch,
     sa_optimize,
 )
-from .consensus import run_consensus
+from .consensus import comm_graph, run_consensus
 from .ddz import (
     AnnealingSchedule,
     DdzConfig,
@@ -80,7 +80,6 @@ class SimConfig:
     schedule: AnnealingSchedule = AnnealingSchedule()
     ga: GaConfig = GaConfig()
     sa_iterations: int = 200
-    stagger_minutes: float = 0.0  # 0: release every part at t = 0
 
     def __post_init__(self) -> None:
         if self.velocity <= 0:
@@ -95,8 +94,8 @@ class SimConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if min(self.consensus_eps, self.window_minutes, self.time_cap) <= 0:
             raise ValueError("consensus_eps, window_minutes, and time_cap must be positive")
-        if min(self.consensus_max_steps, self.sa_iterations, self.stagger_minutes) < 0:
-            raise ValueError("consensus_max_steps, sa_iterations, and stagger_minutes must be >= 0")
+        if min(self.consensus_max_steps, self.sa_iterations) < 0:
+            raise ValueError("consensus_max_steps and sa_iterations must be >= 0")
 
     @classmethod
     def from_json(cls, data: Mapping, method: str, seed: int) -> "SimConfig":
@@ -257,8 +256,7 @@ class Simulation:
 
     def run(self) -> list[dict]:
         for part in self.parts.values():
-            release = (part.id - 1) * self.config.stagger_minutes
-            self._schedule(release, "arrival", part.id)
+            self._schedule(0.0, "arrival", part.id)
         if self.parts:
             self._schedule(self.config.t_ac, "consensus", )
         while self._heap:
@@ -316,8 +314,7 @@ class Simulation:
     def _dispatch_part(self, part: _Part, location: int, age_start: float) -> None:
         destination = part.route[part.cursor]
         legs = load_share_dispatch(
-            self.graph, self.partition, location, destination,
-            balanced=not self.load_share,
+            self.partition, location, destination, balanced=not self.load_share
         )
         if not legs:
             # Degenerate hop: the next processing step is right here.
@@ -457,11 +454,7 @@ class Simulation:
         cfg = self.config
         self._log("imbalance-signal", origin=origin)
         if cfg.method == "ddz":
-            positions = {
-                r: self.robots[r].position_at(self.now, self.graph)
-                for r in self.robots
-            }
-            participants = propagate_start(origin, positions, cfg.comm_range)
+            participants = propagate_start(origin, self._links(self.robots))
             if len(participants) < 2:
                 self._log("repair-rejected", reason="origin robot has no neighbors")
                 self.history[origin].clear()
@@ -471,7 +464,7 @@ class Simulation:
         else:
             self.load_share = True
             self._log("load-share", active=True)
-            source = history_flow_source(self.window, self.graph)
+            source = history_flow_source(self.window)
             if cfg.method == "sa":
                 result = sa_optimize(
                     self.graph, source, cfg.n_robots, cfg.schedule, self.rng,
@@ -492,6 +485,11 @@ class Simulation:
                 self.robots[r].mode = "paused-for-ddz"
         self._check_repair_ready()
 
+    def _links(self, robot_ids) -> dict[int, tuple[int, ...]]:
+        """Who can talk to whom now, among the given robots."""
+        at = {r: self.robots[r].position_at(self.now, self.graph) for r in robot_ids}
+        return comm_graph(at, self.config.comm_range)
+
     def _must_pause(self, robot_id: int) -> bool:
         return (
             self.repair is not None
@@ -511,17 +509,13 @@ class Simulation:
             self._apply_repair(self.repair["partition"])
             return
         origin = self.repair["origin"]
-        positions = {
-            r: self.robots[r].position_at(self.now, self.graph) for r in self.robots
-        }
         self._log("ddz-start", origin=origin,
                   participants=sorted(self.repair["participants"]))
         try:
             result = ddz_optimize(
                 self.graph,
                 self.partition,
-                positions,
-                cfg.comm_range,
+                self._links(self.repair["participants"]),
                 self._queued_tasks(),
                 dict(self.latest_x),
                 origin,
@@ -549,7 +543,7 @@ class Simulation:
             self._log("repair-rejected", reason="; ".join(problems))
         else:
             queues = {r: self.robots[r].queue for r in self.robots}
-            rebuilt = requeue_after_repair(self.graph, queues, partition)
+            rebuilt = requeue_after_repair(queues, partition)
             self.partition = partition
             for r, q in rebuilt.items():
                 self.robots[r].queue = q

@@ -127,7 +127,7 @@ class ZonePartition:
 
     @cached_property
     def _per_graph(self) -> dict[tuple, object]:
-        """Per-query lookups, keyed by (lookup, graph or None, ...)."""
+        """Per-query lookups, keyed by (lookup, graph if it reads one, ...)."""
         return {}
 
     def zone(self, zone_id: int) -> Zone:
@@ -777,7 +777,6 @@ class TipMoves:
 
 
 def plan_delivery(
-    graph: FloorGraph,
     partition: ZonePartition,
     src: int,
     dst: int,
@@ -790,7 +789,7 @@ def plan_delivery(
     returns a new list. ZoneViolation and NoFeasiblePath are raised anew on
     every call.
     """
-    key = ("plan", None, src, dst)
+    key = ("plan", src, dst)
     legs = partition._per_graph.get(key)
     if legs is None:
         legs = partition._per_graph[key] = tuple(_route_legs(partition, src, dst))

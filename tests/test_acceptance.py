@@ -131,16 +131,14 @@ def test_criterion_02_consensus_on_random_geometric_graphs():
     while checked < 100:
         n = rng.randint(3, 12)
         positions = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
-        graph = comm_graph(positions, comm_range=45.0)
+        graph = comm_graph(dict(enumerate(positions)), comm_range=45.0)
         # keep only connected instances
         seen, stack = {0}, [0]
         while stack:
-            cur = stack.pop()
-            for i, j in graph.edges:
-                for a, b in ((i, j), (j, i)):
-                    if a == cur and b not in seen:
-                        seen.add(b)
-                        stack.append(b)
+            for b in graph[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
         if len(seen) != n:
             continue
         checked += 1
@@ -288,7 +286,7 @@ def _symmetric_source(graph):
     window = PartHistoryWindow()
     for i, (src, dst) in enumerate(SYMMETRIC_DELIVERIES):
         window.add(i, src, dst, 0.0)
-    return history_flow_source(window, graph)
+    return history_flow_source(window)
 
 
 def _ddz_run(graph, partition, tasks, seed, k, episodes=0, iterations=0):
@@ -298,7 +296,7 @@ def _ddz_run(graph, partition, tasks, seed, k, episodes=0, iterations=0):
     loads = fleet_loads(graph, partition, tasks, velocity=100.0, handling=HANDLING)
     mean = sum(loads.values()) / len(loads)
     return ddz_optimize(
-        graph, partition, positions, 200.0, tasks, {z: mean for z in loads}, 1,
+        graph, partition, comm_graph(positions, 200.0), tasks, {z: mean for z in loads}, 1,
         config, schedule, random.Random(seed), 100.0, HANDLING,
     )
 

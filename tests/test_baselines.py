@@ -69,7 +69,7 @@ def _symmetric_source(dumbbell):
     window = PartHistoryWindow()
     for i, (src, dst) in enumerate(SYMMETRIC_DELIVERIES):
         window.add(i, src, dst, 0.0)
-    return history_flow_source(window, dumbbell)
+    return history_flow_source(window)
 
 
 def _enumerated_optimum(dumbbell, source):
@@ -92,14 +92,14 @@ def test_window_prunes_old_records():
 
 
 def test_empty_window_zero_flow(dumbbell, three_zones):
-    flows = flow_from_history(PartHistoryWindow(), dumbbell, three_zones)
+    flows = flow_from_history(PartHistoryWindow(), three_zones)
     assert all(f.total() == 0.0 for f in flows.values())
 
 
 def test_single_delivery_counts_once(dumbbell, three_zones):
     w = PartHistoryWindow()
     w.add(1, 1, 2, 0.0)
-    flows = flow_from_history(w, dumbbell, three_zones)
+    flows = flow_from_history(w, three_zones)
     assert flows[1].get(1, 2) == 1.0
     assert flows[2].total() == 0.0 and flows[3].total() == 0.0
 
@@ -107,7 +107,7 @@ def test_single_delivery_counts_once(dumbbell, three_zones):
 def test_cross_zone_delivery_splits_at_transfer_stations(dumbbell, three_zones):
     w = PartHistoryWindow()
     w.add(1, 1, 5, 0.0)
-    flows = flow_from_history(w, dumbbell, three_zones)
+    flows = flow_from_history(w, three_zones)
     ts12 = three_zones.transfer_stations_between(1, 2)[0].ws
     ts23 = three_zones.transfer_stations_between(2, 3)[0].ws
     assert flows[1].get(1, ts12) == 1.0
@@ -122,11 +122,11 @@ def test_total_trips_equal_leg_count(dumbbell, three_zones):
         src = rng.randint(1, 6)
         dst = rng.randint(1, 6)
         w.add(i, src, dst, float(i))
-    flows = flow_from_history(w, dumbbell, three_zones)
+    flows = flow_from_history(w, three_zones)
     from dynzone.zoning import plan_delivery
 
     legs = sum(
-        len(plan_delivery(dumbbell, three_zones, src, dst))
+        len(plan_delivery(three_zones, src, dst))
         for _, src, dst, _ in w.records
     )
     assert sum(f.total() for f in flows.values()) == legs
@@ -287,28 +287,28 @@ def test_ga_config_validation():
 
 
 def test_dispatch_same_station_empty(dumbbell, three_zones):
-    assert load_share_dispatch(dumbbell, three_zones, 3, 3, balanced=True) == []
+    assert load_share_dispatch(three_zones, 3, 3, balanced=True) == []
 
 
 def test_dispatch_in_zone_direct_both_modes(dumbbell, three_zones):
     for balanced in (True, False):
-        legs = load_share_dispatch(dumbbell, three_zones, 3, 4, balanced)
+        legs = load_share_dispatch(three_zones, 3, 4, balanced)
         assert legs == [(3, 4, 2)]
 
 
 def test_dispatch_balanced_uses_transfer_station(dumbbell, three_zones):
-    legs = load_share_dispatch(dumbbell, three_zones, 1, 5, balanced=True)
+    legs = load_share_dispatch(three_zones, 1, 5, balanced=True)
     assert len(legs) == 3
     ts12 = three_zones.transfer_stations_between(1, 2)[0].ws
     assert legs[0] == (1, ts12, 1)
 
 
 def test_dispatch_imbalanced_goes_direct(dumbbell, three_zones):
-    legs = load_share_dispatch(dumbbell, three_zones, 1, 5, balanced=False)
+    legs = load_share_dispatch(three_zones, 1, 5, balanced=False)
     assert legs == [(1, 5, 1)]
 
 
 def test_dispatch_orphan_part(dumbbell):
     partial = ZonePartition((Zone(1, (1, 2), frozenset({"W1|W2"})),))
     with pytest.raises(OrphanPart):
-        load_share_dispatch(dumbbell, partial, 5, 1, balanced=False)
+        load_share_dispatch(partial, 5, 1, balanced=False)

@@ -5,27 +5,26 @@ import random
 import numpy as np
 import pytest
 
-from dynzone.consensus import (
-    CommGraph,
-    comm_graph,
-    metropolis_weights,
-    run_consensus,
-)
+from dynzone.consensus import comm_graph, metropolis_weights, run_consensus
 from dynzone.errors import DimensionMismatch
 
 LINE = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]  # A-B-C at range 10
 TRIANGLE = [(0.0, 0.0), (10.0, 0.0), (5.0, 5.0)]  # complete at range 12
 
 
+def links(positions, comm_range):
+    return comm_graph(dict(enumerate(positions)), comm_range)
+
+
 def test_isolated_node_self_weight_one():
-    g = comm_graph([(0.0, 0.0)], comm_range=5.0)
+    g = links([(0.0, 0.0)], 5.0)
     w = metropolis_weights(g)
     assert w.shape == (1, 1)
     assert w[0, 0] == 1.0
 
 
 def test_line_graph_weights():
-    g = comm_graph(LINE, comm_range=10.0)
+    g = links(LINE, 10.0)
     w = metropolis_weights(g)
     third = pytest.approx(1.0 / 3.0)
     assert w[0, 1] == third and w[1, 2] == third
@@ -36,26 +35,38 @@ def test_line_graph_weights():
 
 
 def test_complete_graph_weights():
-    g = comm_graph(TRIANGLE, comm_range=12.0)
+    g = links(TRIANGLE, 12.0)
     w = metropolis_weights(g)
     assert np.allclose(w, np.full((3, 3), 1.0 / 3.0))
 
 
 def test_fixed_point_when_equal():
-    g = comm_graph(TRIANGLE, comm_range=12.0)
+    g = links(TRIANGLE, 12.0)
     x = np.array([7.0, 7.0, 7.0])
     after = metropolis_weights(g) @ x
     assert np.allclose(after, x)
 
 
+def test_peers_exactly_in_range_off_axis():
+    # 150-200-250 is a 3-4-5 triangle: the pair is exactly in range.
+    g = links([(0.0, 0.0), (150.0, 200.0)], 250.0)
+    assert g == {0: (1,), 1: (0,)}
+    assert metropolis_weights(g)[0, 1] == 0.5
+
+
+def test_peer_lists_in_id_order():
+    g = comm_graph({7: (0.0, 0.0), 3: (5.0, 0.0), 5: (2.0, 0.0), 9: (50.0, 0.0)}, 10.0)
+    assert g == {3: (5, 7), 5: (3, 7), 7: (3, 5), 9: ()}
+
+
 def test_line_graph_single_step():
-    g = comm_graph(LINE, comm_range=10.0)
+    g = links(LINE, 10.0)
     after = metropolis_weights(g) @ np.array([0.0, 3.0, 6.0])
     assert np.allclose(after, [1.0, 3.0, 5.0])
 
 
 def test_empty_edge_set_is_identity():
-    g = comm_graph(LINE, comm_range=1.0)
+    g = links(LINE, 1.0)
     x = np.array([4.0, 8.0, 1.0])
     after = metropolis_weights(g) @ x
     assert np.allclose(after, x)
@@ -92,17 +103,13 @@ def test_disconnected_pair_keeps_values():
 def _random_geometric(rng, n):
     while True:
         pos = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
-        g = comm_graph(pos, comm_range=60.0)
-        # connected check via union of edges
+        g = links(pos, 60.0)
+        # connected check over the peer lists
         seen = {0}
         frontier = [0]
-        adj = {i: [] for i in range(n)}
-        for i, j in g.edges:
-            adj[i].append(j)
-            adj[j].append(i)
         while frontier:
             cur = frontier.pop()
-            for nbr in adj[cur]:
+            for nbr in g[cur]:
                 if nbr not in seen:
                     seen.add(nbr)
                     frontier.append(nbr)
@@ -129,7 +136,7 @@ def test_mean_preserved_under_time_varying_graphs():
     x = np.array(loads)
     for _ in range(60):
         pos = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
-        x = metropolis_weights(comm_graph(pos, comm_range=50.0)) @ x
+        x = metropolis_weights(links(pos, 50.0)) @ x
         assert x.mean() == pytest.approx(mean0, rel=1e-9)
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dynzone.consensus import comm_graph
 from dynzone.datafiles import load_layout
 from dynzone.ddz import (
     AnnealingSchedule,
@@ -89,10 +90,6 @@ def test_sigma_direct_evaluation():
     assert load_sigma(2.0, 5.0, [4.0, 9.0]) == pytest.approx(math.sqrt(26.0 / 3.0))
 
 
-def test_sigma_literal_sign_flag():
-    assert load_sigma(10.0, 4.0, [], literal_sign=True) == 14.0
-
-
 # ── Imbalance detection ──────────────────────────────────────────────
 
 
@@ -123,17 +120,25 @@ def test_interrupted_violation_resets_timer():
 
 def test_isolated_origin():
     positions = {1: (0.0, 0.0), 2: (500.0, 0.0)}
-    assert propagate_start(1, positions, comm_range=100.0) == frozenset({1})
+    assert propagate_start(1, comm_graph(positions, 100.0)) == frozenset({1})
 
 
 def test_fully_connected_fleet():
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0), 3: (0.0, 10.0)}
-    assert propagate_start(1, positions, comm_range=50.0) == frozenset({1, 2, 3})
+    assert propagate_start(1, comm_graph(positions, 50.0)) == frozenset({1, 2, 3})
 
 
 def test_relay_chain():
     positions = {1: (0.0, 0.0), 2: (90.0, 0.0), 3: (180.0, 0.0)}
-    assert propagate_start(1, positions, comm_range=100.0) == frozenset({1, 2, 3})
+    assert propagate_start(1, comm_graph(positions, 100.0)) == frozenset({1, 2, 3})
+
+
+# Exactly 250 ft apart off-axis (a 3-4-5 triangle), and a third robot far away.
+BOUNDARY = {1: (0.0, 0.0), 2: (150.0, 200.0), 3: (900.0, 900.0)}
+
+
+def test_robots_exactly_in_range_hear_the_start_signal():
+    assert propagate_start(1, comm_graph(BOUNDARY, 250.0)) == frozenset({1, 2})
 
 
 # ── Queue flows ──────────────────────────────────────────────────────
@@ -141,7 +146,7 @@ def test_relay_chain():
 
 def test_queue_flows_first_leg_only(dumbbell, three_zones):
     tasks = [QueuedPart(1, 1, 2), QueuedPart(2, 2, 5)]
-    flows = queue_flows(three_zones, dumbbell, tasks)
+    flows = queue_flows(three_zones, tasks)
     assert flows[1].get(1, 2) == 1.0
     # Cross-zone part contributes only its next leg, up to the hand-off.
     legs_total = flows[1].total() + flows[2].total() + flows[3].total()
@@ -154,7 +159,8 @@ def test_queue_flows_first_leg_only(dumbbell, three_zones):
 POSITIONS = {1: (10.0, 0.0), 2: (60.0, 0.0), 3: (110.0, 0.0)}
 
 
-def _run(graph, partition, tasks, seed, episodes=0, iterations=0, k=1.0):
+def _run(graph, partition, tasks, seed, episodes=0, iterations=0, k=1.0,
+         links=comm_graph(POSITIONS, 200.0)):
     config = DdzConfig(episodes=episodes, iterations=iterations)
     schedule = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=30, k=k)
     loads = fleet_loads(graph, partition, tasks, velocity=100.0, handling=HANDLING)
@@ -163,8 +169,7 @@ def _run(graph, partition, tasks, seed, episodes=0, iterations=0, k=1.0):
     return ddz_optimize(
         graph,
         partition,
-        POSITIONS,
-        200.0,
+        links,
         tasks,
         consensus,
         origin=1,
@@ -247,8 +252,7 @@ def test_no_neighbors_raises(dumbbell, three_zones):
         ddz_optimize(
             dumbbell,
             three_zones,
-            POSITIONS,
-            5.0,
+            comm_graph(POSITIONS, 5.0),
             [],
             {1: 0.0, 2: 0.0, 3: 0.0},
             origin=1,
@@ -263,3 +267,10 @@ def test_no_neighbors_raises(dumbbell, three_zones):
 def test_leader_rotation_round_robin(dumbbell, three_zones):
     result = _run(dumbbell, three_zones, [], seed=0)
     assert result.leaders == (1, 2, 3)
+
+
+def test_robots_exactly_in_range_search_together(dumbbell, three_zones):
+    tasks = [QueuedPart(i, 1, 2) for i in range(8)]
+    result = _run(dumbbell, three_zones, tasks, seed=0, links=comm_graph(BOUNDARY, 250.0))
+    assert result.participants == (1, 2)
+    assert {e["receiver"] for e in result.trace if "receiver" in e} <= {1, 2}

@@ -151,7 +151,7 @@ def _queues(three_zones, tasks_by_robot):
 
 def test_identity_repair_keeps_queues(dumbbell, three_zones):
     queues = _queues(three_zones, {1: [_task(1, 1, 2, 0.0)], 2: [_task(2, 4, 3, 1.0)]})
-    rebuilt = requeue_after_repair(dumbbell, queues, three_zones)
+    rebuilt = requeue_after_repair(queues, three_zones)
     assert rebuilt[1].pending == queues[1].pending
     assert rebuilt[2].pending == queues[2].pending
     assert rebuilt[3].pending == []
@@ -170,7 +170,7 @@ def test_moved_workstation_moves_task(dumbbell, three_zones):
         ),
     )
     queues = _queues(three_zones, {1: [_task(1, 2, 2, 4.0)]})
-    rebuilt = requeue_after_repair(dumbbell, queues, shifted)
+    rebuilt = requeue_after_repair(queues, shifted)
     assert rebuilt[1].pending == []
     assert [t.part_id for t in rebuilt[2].pending] == [1]
     assert rebuilt[2].pending[0].age_start == 4.0  # age preserved
@@ -178,7 +178,7 @@ def test_moved_workstation_moves_task(dumbbell, three_zones):
 
 def test_cross_zone_task_splits_at_transfer_station(dumbbell, three_zones):
     task = _task(1, 1, 5, 0.0, destination=5)
-    leg, zone = plan_leg(dumbbell, three_zones, task)
+    leg, zone = plan_leg(three_zones, task)
     assert zone == 1
     # First leg ends at the transfer station between zones 1 and 2.
     ts = three_zones.transfer_stations_between(1, 2)[0]
@@ -200,7 +200,7 @@ def test_selected_task_stays_pinned(dumbbell, three_zones):
             )
         ),
     )
-    rebuilt = requeue_after_repair(dumbbell, queues, shifted)
+    rebuilt = requeue_after_repair(queues, shifted)
     assert rebuilt[1].selected is pinned
 
 
@@ -214,7 +214,7 @@ def test_orphan_part_raises(dumbbell, three_zones):
     )
     queues = _queues(three_zones, {3: [_task(1, 6, 5, 0.0)]})
     with pytest.raises(OrphanPart):
-        requeue_after_repair(dumbbell, queues, partial)
+        requeue_after_repair(queues, partial)
 
 
 def test_conservation_under_random_repairs(dumbbell, three_zones):
@@ -240,7 +240,7 @@ def test_conservation_under_random_repairs(dumbbell, three_zones):
             )
         ),
     )
-    rebuilt = requeue_after_repair(dumbbell, queues, shifted)
+    rebuilt = requeue_after_repair(queues, shifted)
     assert sum(len(q.pending) + (q.selected is not None) for q in rebuilt.values()) == total
     ids = sorted(t.part_id for q in rebuilt.values() for t in q.pending)
     assert ids == sorted(t.part_id for q in queues.values() for t in q.pending)

@@ -22,6 +22,7 @@ from dynzone.baselines import (
     initial_partition,
     sa_optimize,
 )
+from dynzone.consensus import comm_graph
 from dynzone.datafiles import load_layout, load_scenario
 from dynzone.ddz import AnnealingSchedule, DdzConfig, QueuedPart, ddz_optimize, fleet_loads
 from dynzone.simengine import expand_scenario
@@ -49,7 +50,7 @@ def _history_source(graph, stride):
     window = PartHistoryWindow()
     for part, src, dst in _legs()[::stride]:
         window.add(part, src, dst, 0.0)
-    return history_flow_source(window, graph)
+    return history_flow_source(window)
 
 
 def _queued(stride):
@@ -82,7 +83,7 @@ def _ddz(graph, seed, stride=3):
         for z in partition.zones
     }
     return ddz_optimize(
-        graph, partition, positions, 250.0, tasks, {z: mean for z in loads}, 1,
+        graph, partition, comm_graph(positions, 250.0), tasks, {z: mean for z in loads}, 1,
         DdzConfig(iterations=40), SCHEDULE, random.Random(seed), VELOCITY, HANDLING,
     )
 

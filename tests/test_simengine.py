@@ -9,6 +9,7 @@ from dynzone import simengine
 from dynzone.datafiles import load_config, load_layout, load_scenario
 from dynzone.ddz import ddz_optimize
 from dynzone.errors import DeadlockDetected, LayoutError
+from dynzone.scheduler import PartTask
 from dynzone.simengine import (
     MetricsReport,
     SimConfig,
@@ -75,7 +76,6 @@ def test_balance_timing_must_be_positive(field):
         ("time_cap", 0.0),
         ("time_cap", -1.0),
         ("sa_iterations", -1),
-        ("stagger_minutes", -0.5),
     ],
 )
 def test_config_rejects_values_that_would_fail_later(field, value):
@@ -83,9 +83,9 @@ def test_config_rejects_values_that_would_fail_later(field, value):
         SimConfig(method="ddz", n_robots=3, **{field: value})
 
 
-def test_config_accepts_zero_counts_and_stagger():
-    cfg = SimConfig(consensus_max_steps=0, sa_iterations=0, stagger_minutes=0.0)
-    assert (cfg.consensus_max_steps, cfg.sa_iterations, cfg.stagger_minutes) == (0, 0, 0.0)
+def test_config_accepts_zero_counts():
+    cfg = SimConfig(consensus_max_steps=0, sa_iterations=0)
+    assert (cfg.consensus_max_steps, cfg.sa_iterations) == (0, 0)
 
 
 def test_config_from_shipped_json():
@@ -116,6 +116,31 @@ def test_comm_range_has_one_source(desk, monkeypatch):
     start = next(e for e in sim.events if e["kind"] == "ddz-start")
     assert start["participants"] == [1, 2]
     assert flooded == [(1, 2)]
+
+
+def test_ddz_searches_only_the_robots_the_repair_paused(desk, monkeypatch):
+    """A robot that drives into range after the start signal was sent is
+    not paused, so it takes no part in the search."""
+    cfg = SimConfig(comm_range=100.0, method="ddz", n_robots=3)
+    sim = Simulation(desk, [], cfg)
+    for robot, ws in ((1, 1), (2, 2), (3, 16)):
+        sim.robots[robot].point = desk.anchor_of(ws)
+    sim.robots[1].queue.selected = PartTask(1, "A", 1, 2, 2, 0.0)
+    searched = []
+
+    def spy(*args, **kwargs):
+        result = ddz_optimize(*args, **kwargs)
+        searched.append((result.participants, sim.robots[3].paused))
+        return result
+
+    monkeypatch.setattr(simengine, "ddz_optimize", spy)
+    sim._start_repair(1)  # robot 1 is busy, so only robot 2 pauses now
+    assert searched == [] and sim.robots[2].paused
+    sim.robots[3].point = desk.anchor_of(1)
+    sim.robots[1].queue.selected = None
+    sim._poke(1)  # robot 1 finishes its task and pauses; the search starts
+    assert searched == [((1, 2), False)]
+    assert not sim.robots[3].paused
 
 
 def test_expand_scenario_quantities():

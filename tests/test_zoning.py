@@ -432,18 +432,18 @@ def test_valid_two_zone_partition(twozone_graph, twozone_partition):
 
 
 def test_plan_within_zone(twozone_graph, twozone_partition):
-    assert plan_delivery(twozone_graph, twozone_partition, 4, 5) == [(4, 5, 1)]
-    assert plan_delivery(twozone_graph, twozone_partition, 4, 4) == []
+    assert plan_delivery(twozone_partition, 4, 5) == [(4, 5, 1)]
+    assert plan_delivery(twozone_partition, 4, 4) == []
 
 
 def test_plan_across_zones_goes_through_transfer_station(twozone_graph, twozone_partition):
     full = assign_transfer_stations(
         twozone_graph, twozone_partition, loads={1: 10.0, 2: 20.0}
     )
-    legs = plan_delivery(twozone_graph, full, 4, 3)
+    legs = plan_delivery(full, 4, 3)
     assert legs == [(4, 2, 1), (2, 3, 2)]  # hand off at WS2
     # Starting from the transfer station itself: single remaining leg.
-    assert plan_delivery(twozone_graph, full, 2, 3) == [(2, 3, 2)]
+    assert plan_delivery(full, 2, 3) == [(2, 3, 2)]
 
 
 def _uncached_plan(partition, src, dst):
@@ -527,7 +527,7 @@ def test_kept_plans_and_legs_equal_uncached_answers(design, twozone_graph, twozo
     design_copy = ZonePartition(partition.zones, partition.transfer_stations, partition.design_id)
     for _ in range(2):  # the second pass reads the kept answers
         for a, b in pairs:
-            got = (_answer(plan_delivery, graph, design_copy, a, b),
+            got = (_answer(plan_delivery, design_copy, a, b),
                    _answer(shortest_feasible_path, graph, design_copy, a, b))
             assert got == expect[(a, b)]
     errors = {answer for both in expect.values() for answer in both if isinstance(answer, type)}
@@ -536,10 +536,10 @@ def test_kept_plans_and_legs_equal_uncached_answers(design, twozone_graph, twozo
 
 def test_kept_plan_is_copied_to_each_caller(twozone_graph, twozone_partition):
     full = assign_transfer_stations(twozone_graph, twozone_partition, {1: 10.0, 2: 20.0})
-    legs = plan_delivery(twozone_graph, full, 4, 3)
+    legs = plan_delivery(full, 4, 3)
     legs.append((0, 0, 0))
     legs[0] = None
-    assert plan_delivery(twozone_graph, full, 4, 3) == [(4, 2, 1), (2, 3, 2)]
+    assert plan_delivery(full, 4, 3) == [(4, 2, 1), (2, 3, 2)]
 
 
 def test_kept_legs_search_once_and_errors_search_every_call(monkeypatch, line_graph):
@@ -559,9 +559,9 @@ def test_kept_legs_search_once_and_errors_search_every_call(monkeypatch, line_gr
         with pytest.raises(ZoneViolation):
             shortest_feasible_path(line_graph, partition, 1, 99)
         with pytest.raises(ZoneViolation):
-            plan_delivery(line_graph, partition, 99, 1)
+            plan_delivery(partition, 99, 1)
         with pytest.raises(NoFeasiblePath):
-            plan_delivery(line_graph, partition, 1, 3)  # no transfer stations
+            plan_delivery(partition, 1, 3)  # no transfer stations
         assert shortest_feasible_path(line_graph, partition, 1, 2).distance == 10.0
     assert searches == [(1, 3), (1, 2), (1, 3)]
 
