@@ -19,7 +19,6 @@ import logging
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -274,6 +273,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for method in ("sa", "ga", "ddz")
             for seed in seeds
         ]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             results = list(pool.map(_matrix_worker, jobs))
         results.sort(key=lambda r: (r[0], r[1]))

@@ -9,10 +9,9 @@ is preserved while every estimate converges toward it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import DimensionMismatch
 
@@ -30,24 +29,24 @@ def comm_graph(
     }
 
 
-def metropolis_weights(links: Mapping[int, Sequence[int]]) -> np.ndarray:
-    """Mixing matrix over the peer lists of robots 0..n-1:
+def metropolis_weights(links: Mapping[int, Sequence[int]]) -> list[list[float]]:
+    """Mixing matrix over the peer lists of robots 0..n-1, as rows w[i][j]:
     W_ij = 1/(1 + max(d_i, d_j)) between peers, where d is the length of a
     peer list; the diagonal fills each row to sum 1. Symmetric,
     row-stochastic, entrywise in [0, 1]."""
     n = len(links)
-    w = np.zeros((n, n))
+    w = [[0.0] * n for _ in range(n)]
     for i, peers in links.items():
         for j in peers:
-            w[i, j] = 1.0 / (1.0 + max(len(peers), len(links[j])))
-    for i in range(n):
-        w[i, i] = 1.0 - w[i].sum()
+            w[i][j] = 1.0 / (1.0 + max(len(peers), len(links[j])))
+    for i, row in enumerate(w):
+        row[i] = 1.0 - sum(row)
     return w
 
 
 @dataclass(frozen=True)
 class ConsensusResult:
-    values: np.ndarray
+    values: list[float]
     steps: int
     spread: float  # max |x_i - mean(initial loads)| at exit
     converged: bool
@@ -65,20 +64,20 @@ def run_consensus(
     The communication graph and its mixing matrix are built once for the
     round. Stops once every estimate is within eps of the true mean load,
     or at max_steps; non-convergence is reported through the returned
-    spread, never raised.
+    spread, never raised. Each step sums its products left to right.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    values = np.asarray(loads, dtype=float)
+    values = [float(x) for x in loads]
     links = comm_graph(dict(enumerate(positions)), comm_range)
     if len(values) != len(links):
         raise DimensionMismatch(f"{len(values)} loads, {len(links)} positions")
     w = metropolis_weights(links)
-    mean = float(values.mean()) if len(values) else 0.0
-    spread = float(np.abs(values - mean).max()) if len(values) else 0.0
+    mean = sum(values) / len(values) if values else 0.0
+    spread = max([abs(x - mean) for x in values], default=0.0)
     steps = 0
     while spread >= eps and steps < max_steps:
-        values = w @ values
+        values = [sum(map(operator.mul, row, values)) for row in w]
         steps += 1
-        spread = float(np.abs(values - mean).max())
+        spread = max([abs(x - mean) for x in values])
     return ConsensusResult(values, steps, spread, spread < eps)

@@ -424,7 +424,7 @@ class Simulation:
                 eps=cfg.consensus_eps,
                 max_steps=cfg.consensus_max_steps,
             )
-            xs = {r: float(res.values[i]) for i, r in enumerate(ids)}
+            xs = dict(zip(ids, res.values))
         else:
             xs = {r: mean for r in ids}  # centralized monitor sees the true mean
         for r in ids:

@@ -1,9 +1,23 @@
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from dynzone.floorgraph import JUNCTION, WS_ANCHOR, CriticalPoint, FloorGraph, Workstation
 from dynzone.zoning import Zone, ZonePartition
+
+
+def mix(w, x):
+    """One consensus step: the matrix-vector product of rows w and x."""
+    return [sum(map(operator.mul, row, x)) for row in w]
+
+
+def allclose(actual, expected, rtol=1e-5, atol=1e-8):
+    """numpy.allclose's test, elementwise over equal-length sequences."""
+    return len(actual) == len(expected) and all(
+        abs(a - b) <= atol + rtol * abs(b) for a, b in zip(actual, expected)
+    )
 
 
 def build_graph(points, segments, workstations, threshold):

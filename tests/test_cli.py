@@ -3,9 +3,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynzone
 from dynzone.cli import main
 from dynzone.datafiles import data_text, load_layout
 from dynzone.errors import DeadlockDetected
@@ -291,3 +296,21 @@ def test_report_refuses_mixed_scenarios(tmp_path, toy_scenario, empty_scenario):
     r1 = _one_run(tmp_path, toy_scenario, "sa", 1, "r1")
     r2 = _one_run(tmp_path, empty_scenario, "sa", 1, "r2")
     assert main(["report", str(r1), str(r2)]) == 2
+
+
+# ── import cost ──────────────────────────────────────────────────────
+
+
+def test_import_loads_neither_numpy_nor_a_process_pool():
+    """A plain `dynzone simulate` imports only what it runs: numpy and the
+    process pool behind --matrix stay unloaded."""
+    src = str(Path(dynzone.__file__).resolve().parents[1])
+    code = (
+        "import sys, dynzone.cli, dynzone.simengine; "
+        "print(sorted(m for m in ('numpy', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"
