@@ -15,6 +15,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from . import logger
 from .ddz import acceptance_probability, temperature
 from .errors import InfeasibleStart, OrphanPart
 from .floorgraph import FloorGraph
@@ -115,13 +116,15 @@ def _ws_adjacency(graph: FloorGraph) -> dict[int, list[int]]:
     return adj
 
 
+@functools.lru_cache(maxsize=1)
 def initial_partition(graph: FloorGraph, nz: int) -> ZonePartition:
     """Deterministic starting design: grow nz zones segment by segment from
     seed workstations spread maximally far apart, keeping zone sizes even.
 
     Leftover aisles stay unassigned; transfer stations are recomputed at
     the end. Raises InfeasibleStart when nz connected zones covering every
-    workstation cannot be built.
+    workstation cannot be built. Built once per graph and zone count, so a
+    simulation and its GA repairs share one design.
     """
     ws_ids = sorted(graph.workstations)
     if nz < 1 or nz > len(ws_ids):
@@ -161,8 +164,12 @@ def initial_partition(graph: FloorGraph, nz: int) -> ZonePartition:
         members[z] = [seed]
 
     # Each round, the smallest zone annexes its nearest unassigned
-    # workstation along aisles not owned by any other zone.
+    # workstation along aisles not owned by any other zone. Candidates come
+    # in ascending id, so a later one wins only at a strictly shorter
+    # distance, and its search stops at the best distance so far.
+    rounds = searches = 0
     while unclaimed_ws:
+        rounds += 1
         grew = False
         for z in sorted(members, key=lambda z: (len(members[z]), z)):
             others = set().union(
@@ -171,13 +178,12 @@ def initial_partition(graph: FloorGraph, nz: int) -> ZonePartition:
             allowed = frozenset(set(graph.segments) - others)
             best = None
             for w in sorted(unclaimed_ws):
+                searches += 1
                 path = graph.shortest_path_points(
-                    graph.anchor_of(w), points[z], allowed
+                    graph.anchor_of(w), points[z], allowed,
+                    below=None if best is None else best[0],
                 )
-                if path is None:
-                    continue
-                key = (path.distance, w)
-                if best is None or key < best[:2]:
+                if path is not None:
                     best = (path.distance, w, path)
             if best is None:
                 continue
@@ -199,6 +205,11 @@ def initial_partition(graph: FloorGraph, nz: int) -> ZonePartition:
     problems = validate_partition(graph, partition)
     if problems:
         raise InfeasibleStart("; ".join(problems))
+    if log := logger(__name__):
+        log.debug(
+            "initial design: zones %s after %d rounds and %d candidate searches",
+            {z.id: z.workstations for z in zones}, rounds, searches,
+        )
     return partition
 
 
@@ -314,12 +325,6 @@ def genome_of(partition: ZonePartition) -> tuple[int, ...]:
         (ws, z.id) for z in partition.zones for ws in z.workstations
     )
     return tuple(zone for _, zone in pairs)
-
-
-@functools.lru_cache(maxsize=1)
-def _seed_genome(graph: FloorGraph, nz: int) -> tuple[int, ...]:
-    """Genome of the initial design, computed once per graph and zone count."""
-    return genome_of(initial_partition(graph, nz))
 
 
 def _repair_genome(
@@ -460,7 +465,7 @@ def ga_optimize(
     if initial_population is not None:
         population = [tuple(g) for g in initial_population]
     else:
-        seed_genome = _seed_genome(graph, nz)
+        seed_genome = genome_of(initial_partition(graph, nz))
         population = [seed_genome] + [
             mutate(seed_genome, max(config.mutation, 0.2))
             for _ in range(config.population - 1)

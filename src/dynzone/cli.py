@@ -419,7 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("DYNZONE_LOG", "WARNING").upper())
+    level = os.environ.get("DYNZONE_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: DYNZONE_LOG={level} is not a logging level", file=sys.stderr)
+        return EXIT_VALIDATION
+    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

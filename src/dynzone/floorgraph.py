@@ -211,12 +211,16 @@ class FloorGraph:
         source: str,
         targets: set[str] | frozenset[str],
         allowed_segments: set[str] | frozenset[str] | None = None,
+        below: float | None = None,
     ) -> Path | None:
         """Deterministic Dijkstra from a point to the nearest of a point set.
 
         Restricted to allowed_segments when given. Returns None if every
         target is unreachable. Equal-length ties resolve to the
         lexicographically smallest point-id route.
+
+        With `below`, returns the path only if its distance is < below, and
+        None otherwise; the search stops at the bound.
 
         Unrestricted single-target answers are kept per (source, target): a
         miss searches once from the source to the target and every
@@ -225,10 +229,11 @@ class FloorGraph:
         """
         if source not in self.points:
             raise LayoutError(f"unknown point {source!r}")
+        bound = math.inf if below is None else below
         if source in targets:
-            return Path((), 0.0, (source,))
+            return Path((), 0.0, (source,)) if 0.0 < bound else None
         if allowed_segments is not None or len(targets) != 1:
-            return next(iter(self._settle(source, targets, allowed_segments, 1).values()), None)
+            return next(iter(self._settle(source, targets, allowed_segments, 1, bound).values()), None)
         (target,) = targets
         key = (source, target)
         if key not in self._free_paths:
@@ -236,7 +241,8 @@ class FloorGraph:
             for end, path in self._settle(source, wanted, None, len(wanted)).items():
                 self._free_paths.setdefault((source, end), path)
             self._free_paths.setdefault(key, None)
-        return self._free_paths[key]
+        path = self._free_paths[key]
+        return path if path is not None and path.distance < bound else None
 
     def shortest_paths_to_each(
         self,
@@ -260,13 +266,17 @@ class FloorGraph:
         targets: set[str] | frozenset[str],
         allowed_segments: set[str] | frozenset[str] | None,
         wanted: int,
+        below: float = math.inf,
     ) -> dict[str, Path]:
         """Lexicographic Dijkstra that records each target's route as it
-        settles and stops once `wanted` targets have settled.
+        settles and stops once `wanted` targets have settled, or once it pops
+        a distance of at least `below`.
 
         Targets decide only when the search stops, never the order in which
         points settle, so every recorded route is the one a search for that
-        target alone would return.
+        target alone would return. Every push extends the popped route by a
+        positive length, so entries pop in nondecreasing distance: a stop at
+        the bound loses exactly the targets at distance >= below.
         """
         ids = self._ids
         nbrs = self._nbrs
@@ -281,6 +291,8 @@ class FloorGraph:
         heap: list[tuple[float, tuple[int, ...]]] = [(0.0, route[start])]
         while heap:
             d, r = heapq.heappop(heap)
+            if d >= below:
+                break
             cur = r[-1]
             # Each route tuple is pushed once, so a popped entry is current
             # exactly when it is the very tuple recorded for its end point.

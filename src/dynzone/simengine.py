@@ -21,6 +21,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import logger
 from .baselines import (
     GaConfig,
     PartHistoryWindow,
@@ -57,6 +58,12 @@ from .zoning import (
 )
 
 METHODS = ("sa", "ga", "ddz")
+
+# Event kinds that mark a repair's start, end or rejection, or a run's exit.
+_LOGGED_KINDS = frozenset(
+    {"imbalance-signal", "ddz-start", "ddz-end", "zone-repair-applied",
+     "repair-rejected", "time-cap"}
+)
 
 
 @dataclass(frozen=True)
@@ -251,6 +258,8 @@ class Simulation:
 
     def _log(self, kind: str, **payload) -> None:
         self.events.append({"t": round(self.now, 9), "kind": kind, **payload})
+        if kind in _LOGGED_KINDS and (log := logger(__name__)):
+            log.info("t=%.3f %s %s", self.now, kind, payload)
 
     # ── Run loop ─────────────────────────────────────────────────────
 
@@ -271,6 +280,9 @@ class Simulation:
                 break
         else:
             if self._done < len(self.parts):
+                if log := logger(__name__):
+                    log.info("t=%.3f deadlock with %d parts in flight",
+                             self.now, len(self.parts) - self._done)
                 raise DeadlockDetected(
                     f"no schedulable event with "
                     f"{len(self.parts) - self._done} parts in flight"

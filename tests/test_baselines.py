@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import heapq
+import json
+import logging
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynzone import baselines, floorgraph
 from dynzone.baselines import (
     BaselineResult,
     GaConfig,
@@ -18,16 +25,19 @@ from dynzone.baselines import (
     load_spread,
     sa_optimize,
 )
-from dynzone.datafiles import load_layout
+from dynzone.datafiles import load_config, load_layout
 from dynzone.ddz import AnnealingSchedule
 from dynzone.errors import InfeasibleStart, OrphanPart
+from dynzone.simengine import SimConfig, Simulation
 from dynzone.zoning import (
     HandlingTimes,
     Zone,
     ZonePartition,
     assign_transfer_stations,
+    partition_to_json,
     validate_partition,
 )
+from tests.conftest import grid_layout
 
 HANDLING = HandlingTimes(0.25, 0.25)
 V = 100.0
@@ -165,13 +175,128 @@ def test_initial_partition_searches_free_paths_once_per_source(monkeypatch):
     monkeypatch.setattr(
         graph,
         "_settle",
-        lambda source, targets, allowed, wanted: (
+        lambda source, targets, allowed, wanted, *rest: (
             allowed is None and free_sources.append(source)
-        ) or settle(source, targets, allowed, wanted),
+        ) or settle(source, targets, allowed, wanted, *rest),
     )
     p = initial_partition(graph, 6)
     assert validate_partition(graph, p) == []
     assert len(free_sources) == len(set(free_sources)) < len(graph.workstations)
+
+
+def _unbounded_initial_partition(graph, nz):
+    """The initial design as it was built before candidate searches took a
+    bound: every candidate's search runs to its target, and the minimum
+    (distance, workstation) wins."""
+    ws_ids = sorted(graph.workstations)
+    if nz < 1 or nz > len(ws_ids):
+        raise InfeasibleStart("count")
+    if nz == 1:
+        zone = Zone(1, tuple(ws_ids), frozenset(graph.segments))
+        return assign_transfer_stations(graph, ZonePartition((zone,)))
+    dist = {(u, v): graph.distance(u, v) for u in ws_ids for v in ws_ids if u < v}
+
+    def d(u, v):
+        return 0.0 if u == v else dist[(min(u, v), max(u, v))]
+
+    seeds = [min(ws_ids, key=lambda u: (-max(d(u, v) for v in ws_ids), u))]
+    while len(seeds) < nz:
+        seeds.append(max(
+            (w for w in ws_ids if w not in seeds),
+            key=lambda w: (min(d(w, s) for s in seeds), -w),
+        ))
+    seeds.sort()
+    unclaimed = set(ws_ids) - set(seeds)
+    points = {z: {graph.anchor_of(s)} for z, s in enumerate(seeds, start=1)}
+    members = {z: [s] for z, s in enumerate(seeds, start=1)}
+    segments = {z: set() for z in members}
+    while unclaimed:
+        for z in sorted(members, key=lambda z: (len(members[z]), z)):
+            others = set().union(*(segments[o] for o in segments if o != z))
+            allowed = frozenset(set(graph.segments) - others)
+            best = None
+            for w in sorted(unclaimed):
+                path = graph.shortest_path_points(graph.anchor_of(w), points[z], allowed)
+                if path is not None and (best is None or (path.distance, w) < best[:2]):
+                    best = (path.distance, w, path)
+            if best is not None:
+                _, w, path = best
+                unclaimed.discard(w)
+                members[z].append(w)
+                segments[z].update(path.segments)
+                points[z].update(path.points)
+                break
+        else:
+            raise InfeasibleStart("stalled")
+    zones = tuple(
+        Zone(z, tuple(sorted(members[z])), frozenset(segments[z])) for z in sorted(members)
+    )
+    partition = assign_transfer_stations(graph, ZonePartition(zones))
+    if validate_partition(graph, partition):
+        raise InfeasibleStart("invalid")
+    return partition
+
+
+def _design_or_infeasible(build, graph, nz):
+    try:
+        return partition_to_json(build(graph, nz))
+    except InfeasibleStart:
+        return InfeasibleStart
+
+
+@st.composite
+def _floors(draw):
+    if draw(st.booleans()):
+        from tests.test_floorgraph import _tie_grid
+
+        return _tie_grid(draw(st.integers(0, 10**6)))
+    cols, rows = draw(st.integers(3, 8)), draw(st.integers(3, 6))
+    stations = draw(st.integers(cols * rows // 3, min(cols * rows, 30)))
+    return grid_layout(random.Random(draw(st.integers(0, 10**6))), cols, rows, stations)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph=_floors(), nz=st.integers(2, 6))
+def test_bounded_growth_equals_the_unbounded_loop(graph, nz):
+    expect = _design_or_infeasible(_unbounded_initial_partition, graph, nz)
+    assert _design_or_infeasible(initial_partition, graph, nz) == expect
+
+
+def test_initial_design_heap_pops_on_the_grid48_pool(monkeypatch):
+    """The bound keeps the initial designs of the ten dispatch-grid48 pool
+    floors under 200,000 heap pops (468,360 when every search ran to its
+    target)."""
+    from perfbench import workloads
+
+    pops = []
+
+    def heappop(heap):
+        pops.append(None)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(floorgraph, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
+    for index in range(1, 11):
+        inst = workloads.make_instance("dispatch-grid48", index)
+        graph = floorgraph.FloorGraph.from_json(json.loads(inst.layout_text))
+        assert validate_partition(graph, initial_partition(graph, 6)) == []
+    assert len(pops) <= 200_000
+
+
+def test_ga_simulation_builds_the_initial_design_once(monkeypatch, caplog):
+    """The GA seeds its population from the very design the simulation
+    started from, built once."""
+    graph = load_layout("layout18")
+    seeded = []
+    monkeypatch.setattr(baselines, "genome_of", lambda p: seeded.append(p) or genome_of(p))
+    config = SimConfig.from_json(load_config("config_default"), "ga", seed=1)
+    with caplog.at_level(logging.DEBUG, logger="dynzone.baselines"):
+        sim = Simulation(graph, [("H", (2, 3, 1, 7, 14, 6))] * 16, config)
+        start = sim.partition
+        events = sim.run()
+    assert any(e["kind"] == "zone-repair-applied" for e in events)
+    assert seeded and all(p is start for p in seeded)
+    builds = [r for r in caplog.records if r.getMessage().startswith("initial design")]
+    assert len(builds) == 1
 
 
 def test_initial_partition_infeasible_count(dumbbell):

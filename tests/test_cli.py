@@ -314,3 +314,17 @@ def test_import_loads_neither_numpy_nor_a_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_unknown_log_level_exits_2_with_one_line():
+    """An unknown DYNZONE_LOG level is a validation failure, reported on one
+    line before any argument is parsed."""
+    src = str(Path(dynzone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "DYNZONE_LOG": "verbose"}
+    out = subprocess.run(
+        [sys.executable, "-m", "dynzone.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == ["error: DYNZONE_LOG=verbose is not a logging level"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -269,6 +270,37 @@ def test_kept_free_paths_equal_reference_in_any_order(name):
         for b in g.workstations:
             expect = reference_dijkstra.shortest_path_points(g, g.anchor_of(a), {g.anchor_of(b)})
             assert fresh.shortest_path(a, b) == expect
+
+
+@pytest.mark.parametrize("name", ["layout18", "fig2", "grid-3", "grid-4", "grid-7"])
+def test_bounded_search_answers_only_below_the_bound(name):
+    """With `below`, a search returns the reference path when its distance
+    is < below and None otherwise: at, just under and just over the
+    reference distance, restricted or not, and through the free-path memo
+    whether its first search for a source was bounded or not."""
+    from dynzone.datafiles import load_layout
+
+    g = _tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
+    rng = random.Random(f"below-{name}")
+    point_ids = sorted(g.points)
+    segment_ids = sorted(g.segments)
+    for _ in range(200):
+        source = rng.choice(point_ids)
+        if rng.random() < 0.5:  # the unrestricted single-target memo
+            allowed, targets = None, {rng.choice(point_ids)}
+        else:
+            keep = rng.choice([None, 0.5, 0.8, 1.0])
+            allowed = None if keep is None else {s for s in segment_ids if rng.random() < keep}
+            targets = set(rng.sample(point_ids, rng.randint(1, 4)))
+            if rng.random() < 0.1:
+                targets.add(source)
+        expect = reference_dijkstra.shortest_path_points(g, source, targets, allowed)
+        d = expect.distance if expect is not None else rng.uniform(0.0, 400.0)
+        bounds = [d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf), d / 2, 2 * d + 1]
+        for below in bounds:
+            want = expect if expect is not None and expect.distance < below else None
+            assert g.shortest_path_points(source, targets, allowed, below=below) == want
+        assert g.shortest_path_points(source, targets, allowed, below=None) == expect
 
 
 def test_free_path_miss_searches_once_per_source(monkeypatch):

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import logging
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +291,50 @@ def test_ddz_repair_pauses_then_applies(desk):
     assert report.completed == 16
 
 
+def test_info_log_names_each_repair_and_leaves_the_event_log_unchanged(desk, caplog):
+    """At INFO, the shipped seed-1 ddz run logs one record per repair start,
+    end and rejection, with the event's time and payload, and its event log
+    keeps its pinned fingerprint."""
+    parts = expand_scenario(load_scenario("scenario100"))
+    config = SimConfig.from_json(load_config("config_default"), "ddz", seed=1)
+    with caplog.at_level(logging.INFO, logger="dynzone.simengine"):
+        events = Simulation(desk, parts, config).run()
+    text = log_to_jsonl(events)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "62ae727634abab5d"
+    kinds = {"imbalance-signal", "ddz-start", "ddz-end", "zone-repair-applied", "repair-rejected"}
+    expect = [
+        (e["t"], e["kind"], {k: v for k, v in e.items() if k not in ("t", "kind")})
+        for e in events
+        if e["kind"] in kinds
+    ]
+    got = [
+        (round(r.args[0], 9), r.args[1], r.args[2])
+        for r in caplog.records
+        if r.name == "dynzone.simengine"
+    ]
+    assert got == expect
+    assert {kind for _, kind, _ in got} >= {"ddz-start", "ddz-end", "zone-repair-applied"}
+
+
+def test_runs_with_repairs_do_not_import_logging():
+    """Nothing configures logging in a program that never imports it, so a
+    run there logs nothing and leaves the import to programs that do."""
+    src = str(Path(simengine.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from dynzone.datafiles import load_config, load_layout\n"
+        "from dynzone.simengine import SimConfig, run_simulation\n"
+        "config = SimConfig.from_json(load_config('config_default'), 'ddz', 1)\n"
+        "events, _ = run_simulation(load_layout('layout18'), [('H', (2, 3, 1, 7, 14, 6))] * 16, config)\n"
+        "print(sum(e['kind'] == 'zone-repair-applied' for e in events) > 0, 'logging' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["True", "False"]
+
+
 def test_no_pickup_during_ddz_repair(desk):
     events, _ = _lopsided_run(desk, "ddz")
     window = None
@@ -348,6 +397,20 @@ def test_deadlock_detected(dumbbell, monkeypatch):
     monkeypatch.setattr(Simulation, "_on_consensus", lambda self: None)
     with pytest.raises(DeadlockDetected):
         sim.run()
+
+
+def test_info_log_names_time_cap_and_deadlock_exits(dumbbell, monkeypatch, caplog):
+    with caplog.at_level(logging.INFO, logger="dynzone.simengine"):
+        run_simulation(dumbbell, [("X", (2, 4))], _config(time_cap=0.5))
+        sim = Simulation(dumbbell, [("X", (2, 4))], _config())
+        monkeypatch.setattr(Simulation, "_on_arrival", lambda self, pid: None)
+        monkeypatch.setattr(Simulation, "_on_consensus", lambda self: None)
+        with pytest.raises(DeadlockDetected):
+            sim.run()
+    assert [r.getMessage() for r in caplog.records] == [
+        "t=0.500 time-cap {'completed': 0}",
+        "t=2.000 deadlock with 1 parts in flight",
+    ]
 
 
 def test_invalid_initial_partition_rejected(dumbbell):
