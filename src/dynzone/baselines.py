@@ -75,14 +75,13 @@ def history_flow_source(window: PartHistoryWindow) -> FlowSource:
 
 
 def load_spread(
-    graph: FloorGraph,
     partition: ZonePartition,
     flow_source: FlowSource,
     velocity: float,
     handling: HandlingTimes,
 ) -> float:
     """Population standard deviation of the zone loads."""
-    loads = zone_loads(graph, partition, flow_source(partition), velocity, handling)
+    loads = zone_loads(partition, flow_source(partition), velocity, handling)
     return statistics.pstdev(loads.values())
 
 
@@ -131,7 +130,7 @@ def initial_partition(graph: FloorGraph, nz: int) -> ZonePartition:
         raise InfeasibleStart(f"cannot build {nz} zones from {len(ws_ids)} workstations")
     if nz == 1:
         zone = Zone(1, tuple(ws_ids), frozenset(graph.segments))
-        return assign_transfer_stations(graph, ZonePartition((zone,)))
+        return assign_transfer_stations(ZonePartition(graph, (zone,)))
 
     # Farthest-point seeds, starting from one end of the graph diameter.
     dist = {
@@ -201,8 +200,8 @@ def initial_partition(graph: FloorGraph, nz: int) -> ZonePartition:
         Zone(z, tuple(sorted(members[z])), frozenset(segments[z]))
         for z in sorted(members)
     )
-    partition = assign_transfer_stations(graph, ZonePartition(zones))
-    problems = validate_partition(graph, partition)
+    partition = assign_transfer_stations(ZonePartition(graph, zones))
+    problems = validate_partition(partition)
     if problems:
         raise InfeasibleStart("; ".join(problems))
     if log := logger(__name__):
@@ -247,9 +246,9 @@ def sa_optimize(
     current = start if start is not None else initial_partition(graph, nz)
 
     def loads_of(design: ZonePartition) -> dict[int, float]:
-        return zone_loads(graph, design, flow_source(design), velocity, handling)
+        return zone_loads(design, flow_source(design), velocity, handling)
 
-    moves = TipMoves(graph, current, loads_of(current), loads_of)
+    moves = TipMoves(current, loads_of(current), loads_of)
     obj_cur = statistics.pstdev(moves.loads.values())
     best, obj_best = current, obj_cur
     progress = [(0, obj_best)]
@@ -289,7 +288,7 @@ def sa_optimize(
                 }
             )
         if accepted:
-            moves, obj_cur = TipMoves(graph, candidate, new_loads, loads_of), obj_new
+            moves, obj_cur = TipMoves(candidate, new_loads, loads_of), obj_new
         if obj_new < obj_best:
             best, obj_best = candidate, obj_new
             progress.append((it + 1, obj_best))
@@ -430,8 +429,8 @@ def decode_genome(
         claimed.update(segs)
         zones.append(Zone(z, tuple(members), frozenset(segs)))
 
-    partition = assign_transfer_stations(graph, ZonePartition(tuple(zones)))
-    if validate_partition(graph, partition):
+    partition = assign_transfer_stations(ZonePartition(graph, tuple(zones)))
+    if validate_partition(partition):
         return None
     return partition
 
@@ -481,7 +480,7 @@ def ga_optimize(
             if partition is None:
                 cache[genome] = (-math.inf, False)
             else:
-                spread = load_spread(graph, partition, flow_source, velocity, handling)
+                spread = load_spread(partition, flow_source, velocity, handling)
                 cache[genome] = (-spread, True)
         return cache[genome]
 

@@ -137,7 +137,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             sim_cfg.velocity, sim_cfg.handling,
         )
 
-    violations = validate_partition(graph, result.partition)
+    violations = validate_partition(result.partition)
     if violations:
         raise CliError("optimizer produced an invalid partition:\n  " + "\n  ".join(violations))
 
@@ -207,8 +207,8 @@ def _run_one(
     start = None
     if partition_src is not None:
         pdata, _, plabel = _read_input(partition_src)
-        start = partition_from_json(pdata)
-        violations = validate_partition(graph, start)
+        start = partition_from_json(graph, pdata)
+        violations = validate_partition(start)
         if violations:
             raise CliError(f"{plabel}: invalid partition:\n  " + "\n  ".join(violations))
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import NoNeighbors
-from .floorgraph import FloorGraph
 from .zoning import (
     FlowMatrix,
     HandlingTimes,
@@ -159,13 +158,12 @@ def queue_flows(
 
 
 def fleet_loads(
-    graph: FloorGraph,
     partition: ZonePartition,
     tasks: Sequence[QueuedPart],
     velocity: float,
     handling: HandlingTimes,
 ) -> dict[int, float]:
-    return zone_loads(graph, partition, queue_flows(partition, tasks), velocity, handling)
+    return zone_loads(partition, queue_flows(partition, tasks), velocity, handling)
 
 
 @dataclass
@@ -180,7 +178,6 @@ class DdzResult:
 
 
 def ddz_optimize(
-    graph: FloorGraph,
     partition: ZonePartition,
     links: Mapping[int, Sequence[int]],
     tasks: Sequence[QueuedPart],
@@ -211,7 +208,7 @@ def ddz_optimize(
     iterations = config.iterations or max(1, -(-(schedule.reductions + 1) // episodes))
 
     def loads_of(design: ZonePartition) -> dict[int, float]:
-        return fleet_loads(graph, design, tasks, velocity, handling)
+        return fleet_loads(design, tasks, velocity, handling)
 
     def sigma_at(robot: int, loads: Mapping[int, float]) -> float:
         return load_sigma(
@@ -220,7 +217,7 @@ def ddz_optimize(
             [loads[j] for j in links[robot]],
         )
 
-    moves = TipMoves(graph, partition, loads_of(partition), loads_of, participants)
+    moves = TipMoves(partition, loads_of(partition), loads_of, participants)
     sigma_initial = sigma_at(origin, moves.loads)
     trace: list[dict] = []
     leaders: list[int] = []
@@ -278,7 +275,7 @@ def ddz_optimize(
             # The best design keeps its own TipMoves, so adopting it at the
             # end of the episode keeps the moves already built out of it.
             if accepted or sigma_new < best_sigma:
-                state = TipMoves(graph, moved, new_loads, loads_of, participants)
+                state = TipMoves(moved, new_loads, loads_of, participants)
                 if accepted:
                     moves = state
                 if sigma_new < best_sigma:

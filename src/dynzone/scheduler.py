@@ -29,7 +29,6 @@ class PartTask:
     """
 
     part_id: int
-    part_type: str
     pickup: int
     dropoff: int
     destination: int

@@ -150,11 +150,8 @@ def expand_scenario(data: Mapping) -> list[tuple[str, tuple[int, ...]]]:
 @dataclass
 class _Part:
     id: int
-    type: str
     route: tuple[int, ...]
     cursor: int = 0
-    state: str = "released"
-    done_at: float | None = None
 
 
 @dataclass
@@ -164,7 +161,6 @@ class _Robot:
     queue: RobotQueue
     odometer: float = 0.0
     paused: bool = False
-    mode: str = "idle"
     # Interpolation data for the trip in progress: (start time, arrival
     # time, polyline point ids); None while stationary.
     trip: tuple[float, float, tuple[str, ...]] | None = None
@@ -210,7 +206,9 @@ class Simulation:
         self.partition = (
             start if start is not None else initial_partition(graph, config.n_robots)
         )
-        problems = validate_partition(graph, self.partition)
+        if self.partition.graph is not graph:
+            raise LayoutError("initial partition is bound to another floor graph")
+        problems = validate_partition(self.partition)
         if problems:
             raise LayoutError("initial partition invalid: " + "; ".join(problems))
 
@@ -222,8 +220,8 @@ class Simulation:
                         "which the layout does not have"
                     )
         self.parts = {
-            i + 1: _Part(i + 1, ptype, route)
-            for i, (ptype, route) in enumerate(scenario_parts)
+            i + 1: _Part(i + 1, route)
+            for i, (_, route) in enumerate(scenario_parts)
         }
         self.robots = {
             z.id: _Robot(
@@ -300,7 +298,6 @@ class Simulation:
 
     def _on_arrival(self, pid: int) -> None:
         part = self.parts[pid]
-        part.state = "queued"
         first = part.route[0]
         self._log("arrival", part=pid, ws=first)
         self.ws_queue[first].append(pid)
@@ -313,12 +310,9 @@ class Simulation:
         self._ws_start(ws)
         part.cursor += 1
         if part.cursor == len(part.route):
-            part.state = "done"
-            part.done_at = self.now
             self._done += 1
             self._log("part-done", part=pid)
             return
-        part.state = "waiting"
         self._dispatch_part(part, location=ws, age_start=self.now)
 
     # ── Dispatch and robot trips ─────────────────────────────────────
@@ -331,11 +325,10 @@ class Simulation:
         if not legs:
             # Degenerate hop: the next processing step is right here.
             self.ws_queue[destination].append(part.id)
-            part.state = "queued"
             self._ws_start(destination)
             return
         pickup, dropoff, zone_id = legs[0]
-        task = PartTask(part.id, part.type, pickup, dropoff, destination, age_start)
+        task = PartTask(part.id, pickup, dropoff, destination, age_start)
         self.robots[zone_id].queue.pending.append(task)
         self._poke(zone_id)
 
@@ -345,14 +338,12 @@ class Simulation:
             return
         if self.repair is not None and self._must_pause(robot_id):
             robot.paused = True
-            robot.mode = "paused-for-ddz"
             self._check_repair_ready()
             return
         task = select_next(
             self.graph, robot.queue, robot.point, self.config.velocity, self.now
         )
         if task is None:
-            robot.mode = "idle"
             return
         approach = self.graph.shortest_path_points(
             robot.point, {self.graph.anchor_of(task.pickup)}
@@ -361,16 +352,13 @@ class Simulation:
             leg = self.graph.shortest_path(task.pickup, task.dropoff)
         else:
             try:
-                leg = shortest_feasible_path(
-                    self.graph, self.partition, task.pickup, task.dropoff
-                )
+                leg = shortest_feasible_path(self.partition, task.pickup, task.dropoff)
             except NoFeasiblePath:
                 leg = self.graph.shortest_path(task.pickup, task.dropoff)
         v = self.config.velocity
         t_arrive = self.now + approach.distance / v
         t_pick = t_arrive + self.config.handling.load
         t_drop = t_pick + leg.distance / v + self.config.handling.unload
-        robot.mode = "traveling"
         robot.trip = (self.now, t_arrive, approach.points)
         self._schedule(t_pick, "pickup", robot_id, task.part_id,
                        approach.distance, leg, t_pick)
@@ -383,7 +371,6 @@ class Simulation:
         robot.odometer += empty_distance
         robot.point = leg.points[0]
         robot.trip = (t_pick, t_pick + leg.distance / self.config.velocity, leg.points)
-        self.parts[pid].state = "in-transit"
         self._log("pickup", robot=robot_id, part=pid,
                   ws=robot.queue.selected.pickup, distance=round(empty_distance, 9))
 
@@ -400,11 +387,9 @@ class Simulation:
         self.window.prune(self.now)
         part = self.parts[pid]
         if task.dropoff == task.destination:
-            part.state = "queued"
             self.ws_queue[task.destination].append(pid)
             self._ws_start(task.destination)
         else:
-            part.state = "at-transfer"
             self._dispatch_part(part, location=task.dropoff, age_start=task.age_start)
         self._poke(robot_id)
 
@@ -423,9 +408,7 @@ class Simulation:
     def _on_consensus(self) -> None:
         cfg = self.config
         ids = sorted(self.robots)
-        loads = fleet_loads(
-            self.graph, self.partition, self._queued_tasks(), cfg.velocity, cfg.handling
-        )
+        loads = fleet_loads(self.partition, self._queued_tasks(), cfg.velocity, cfg.handling)
         mean = sum(loads.values()) / len(loads)
         if cfg.method == "ddz":
             positions = [self.robots[r].position_at(self.now, self.graph) for r in ids]
@@ -494,7 +477,6 @@ class Simulation:
         for r in sorted(self.repair["participants"]):
             if self.robots[r].queue.selected is None and not self.robots[r].paused:
                 self.robots[r].paused = True
-                self.robots[r].mode = "paused-for-ddz"
         self._check_repair_ready()
 
     def _links(self, robot_ids) -> dict[int, tuple[int, ...]]:
@@ -525,7 +507,6 @@ class Simulation:
                   participants=sorted(self.repair["participants"]))
         try:
             result = ddz_optimize(
-                self.graph,
                 self.partition,
                 self._links(self.repair["participants"]),
                 self._queued_tasks(),
@@ -550,7 +531,7 @@ class Simulation:
         self._apply_repair(partition)
 
     def _apply_repair(self, partition: ZonePartition) -> None:
-        problems = validate_partition(self.graph, partition)
+        problems = validate_partition(partition)
         if problems:
             self._log("repair-rejected", reason="; ".join(problems))
         else:
@@ -572,9 +553,7 @@ class Simulation:
         self.load_share = False
         for r in sorted(self.robots):
             self.history[r].clear()
-            if self.robots[r].paused:
-                self.robots[r].paused = False
-                self.robots[r].mode = "idle"
+            self.robots[r].paused = False
             self._poke(r)
 
 

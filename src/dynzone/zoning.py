@@ -9,7 +9,7 @@ values; every operation returns a fresh partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
@@ -62,16 +62,18 @@ class Zone:
 
 @dataclass(frozen=True)
 class ZonePartition:
-    """An immutable zone design.
+    """An immutable zone design, bound to the floor graph it cuts.
 
-    Lookups derived from it (zone by id, zone of each workstation,
-    neighbors, transfer stations by zone pair, stations, unassigned and
-    allowed segments, station-distance rows, delivery plans and feasible
+    The graph is left out of equality, hashing and repr. Lookups derived
+    from the design (zone by id, zone of each workstation, neighbors,
+    transfer stations by zone pair, stations, unassigned, allowed and
+    zone-pair segments, station-distance rows, delivery plans and feasible
     legs) are computed on first use and kept on the instance. They are not
     fields, so equality, hashing and serialization see only the design
     itself.
     """
 
+    graph: FloorGraph = field(compare=False, repr=False)
     zones: tuple[Zone, ...]
     transfer_stations: tuple[TransferStation, ...] = ()
     design_id: int = 0
@@ -126,8 +128,8 @@ class ZonePartition:
         return out
 
     @cached_property
-    def _per_graph(self) -> dict[tuple, object]:
-        """Per-query lookups, keyed by (lookup, graph if it reads one, ...)."""
+    def _kept(self) -> dict[tuple, object]:
+        """Per-query lookups, keyed by (lookup, ...)."""
         return {}
 
     def zone(self, zone_id: int) -> Zone:
@@ -145,11 +147,11 @@ class ZonePartition:
             out |= z.segments
         return frozenset(out)
 
-    def unassigned_segments(self, graph: FloorGraph) -> frozenset[str]:
-        key = ("unassigned", graph, None)
-        if key not in self._per_graph:
-            self._per_graph[key] = frozenset(graph.segments) - self.assigned_segments()
-        return self._per_graph[key]
+    def unassigned_segments(self) -> frozenset[str]:
+        key = ("unassigned",)
+        if key not in self._kept:
+            self._kept[key] = frozenset(self.graph.segments) - self.assigned_segments()
+        return self._kept[key]
 
     def stations_of_zone(self, zone_id: int) -> tuple[int, ...]:
         """Primary workstations plus the zone's transfer stations."""
@@ -158,35 +160,45 @@ class ZonePartition:
         except KeyError:
             raise KeyError(f"no zone {zone_id}") from None
 
-    def allowed_segments(self, graph: FloorGraph, zone_id: int) -> frozenset[str]:
+    def allowed_segments(self, zone_id: int) -> frozenset[str]:
         """Segments a robot confined to this zone may traverse.
 
         Its own primary segments, connecting paths it absorbed, and
         segments not claimed by any zone.
         """
-        key = ("allowed", graph, zone_id)
-        if key not in self._per_graph:
-            allowed = set(self.zone(zone_id).segments) | self.unassigned_segments(graph)
+        key = ("allowed", zone_id)
+        if key not in self._kept:
+            allowed = set(self.zone(zone_id).segments) | self.unassigned_segments()
             for ts in self.transfer_stations:
                 if ts.path_zone == zone_id:
                     allowed.update(ts.path)
-            self._per_graph[key] = frozenset(allowed)
-        return self._per_graph[key]
+            self._kept[key] = frozenset(allowed)
+        return self._kept[key]
 
-    def station_row(self, graph: FloorGraph, zone_id: int, ws: int) -> dict[int, float]:
+    def pair_segments(self, a: int, b: int) -> frozenset[str]:
+        """The primary segments of zones a and b plus the unassigned ones."""
+        key = ("pair", a, b) if a <= b else ("pair", b, a)
+        if key not in self._kept:
+            self._kept[key] = (
+                self.zone(a).segments | self.zone(b).segments | self.unassigned_segments()
+            )
+        return self._kept[key]
+
+    def station_row(self, zone_id: int, ws: int) -> dict[int, float]:
         """Path distances in feet from station ws to each of the zone's
         stations, over the zone's allowed segments: one sweep, kept.
 
         Raises NoFeasiblePath when ws cannot reach one of them.
         The returned dict is shared by every caller and must not be modified.
         """
-        key = ("row", graph, zone_id, ws)
-        row = self._per_graph.get(key)
+        key = ("row", zone_id, ws)
+        row = self._kept.get(key)
         if row is None:
+            graph = self.graph
             stations = self.stations_of_zone(zone_id)
             anchors = [graph.anchor_of(j) for j in stations]
             reached = graph.distances_from(
-                graph.anchor_of(ws), frozenset(anchors), self.allowed_segments(graph, zone_id)
+                graph.anchor_of(ws), frozenset(anchors), self.allowed_segments(zone_id)
             )
             row = {}
             for j, anchor in zip(stations, anchors):
@@ -195,7 +207,7 @@ class ZonePartition:
                         f"stations WS{ws} and WS{j} are disconnected inside zone {zone_id}"
                     )
                 row[j] = reached[anchor]
-            self._per_graph[key] = row
+            self._kept[key] = row
         return row
 
     def transfer_stations_between(self, a: int, b: int) -> tuple[TransferStation, ...]:
@@ -290,17 +302,15 @@ def tip_workstations(graph: FloorGraph, zone: Zone) -> tuple[int, ...]:
     return tips
 
 
-def remove_tip(graph: FloorGraph, zone: Zone, ws: int) -> tuple[Zone, frozenset[str]]:
+def remove_tip(graph: FloorGraph, zone: Zone, ws: int) -> Zone:
     """Drop a tip workstation and its sole connecting branch from the zone.
 
-    Returns the shrunk zone and the freed segments. The walk stops at the
-    first point that still serves the zone (another anchor or a junction
-    with remaining degree >= 2).
+    The walk stops at the first point that still serves the zone (another
+    anchor or a junction with remaining degree >= 2).
     """
     anchors = {graph.anchor_of(w) for w in zone.workstations if w != ws}
     segments = set(zone.segments)
     deg = _zone_degrees(zone, graph)
-    freed: set[str] = set()
     cur = graph.anchor_of(ws)
     while cur not in anchors and deg.get(cur, 0) == 1:
         sid = next(
@@ -308,13 +318,12 @@ def remove_tip(graph: FloorGraph, zone: Zone, ws: int) -> tuple[Zone, frozenset[
             if cur in (graph.segments[s].a, graph.segments[s].b)
         )
         segments.discard(sid)
-        freed.add(sid)
         seg = graph.segments[sid]
         deg[seg.a] -= 1
         deg[seg.b] -= 1
         cur = seg.other(cur)
     new_ws = tuple(sorted(w for w in zone.workstations if w != ws))
-    return Zone(zone.id, new_ws, frozenset(segments)), frozenset(freed)
+    return Zone(zone.id, new_ws, frozenset(segments))
 
 
 def _zone_points(graph: FloorGraph, zone: Zone) -> frozenset[str]:
@@ -379,7 +388,6 @@ def _path_joins_zone(graph: FloorGraph, ts: TransferStation, zone: Zone) -> bool
 
 
 def transfer_tip(
-    graph: FloorGraph,
     partition: ZonePartition,
     from_zone: int,
     to_zone: int,
@@ -391,6 +399,7 @@ def transfer_tip(
     path over its own and unassigned segments. Transfer stations touching
     either zone are dropped; callers re-run transfer-station discovery.
     """
+    graph = partition.graph
     fz = partition.zone(from_zone)
     tz = partition.zone(to_zone)
     if from_zone == to_zone:
@@ -402,7 +411,7 @@ def transfer_tip(
     if len(fz.workstations) == 1:
         raise WouldEmptyZone(f"zone {from_zone} would lose its last workstation")
 
-    new_fz, _freed = remove_tip(graph, fz, ws)
+    new_fz = remove_tip(graph, fz, ws)
     if not _zone_connected(graph, new_fz):
         raise WouldDisconnect(f"removing WS{ws} disconnects zone {from_zone}")
 
@@ -433,14 +442,13 @@ def transfer_tip(
         for ts in partition.transfer_stations
         if from_zone not in ts.zones() and to_zone not in ts.zones()
     )
-    return ZonePartition(zones, kept, partition.design_id + 1)
+    return ZonePartition(graph, zones, kept, partition.design_id + 1)
 
 
 # ── Transfer stations ────────────────────────────────────────────────
 
 
 def find_transfer_stations(
-    graph: FloorGraph,
     partition: ZonePartition,
     zone_a: int,
     zone_b: int,
@@ -456,12 +464,11 @@ def find_transfer_stations(
     """
     if zone_a == zone_b:
         raise ValueError("zones must differ")
+    graph = partition.graph
     alpha, beta = (zone_a, zone_b) if zone_a < zone_b else (zone_b, zone_a)
     za, zb = partition.zone(alpha), partition.zone(beta)
     tips_b = tip_workstations(graph, zb)
-    abp = frozenset(
-        set(za.segments) | set(zb.segments) | set(partition.unassigned_segments(graph))
-    )
+    abp = partition.pair_segments(alpha, beta)
     # One search from each tip of zone a finds its paths to all adjacent
     # tips of zone b. The connecting paths do not change as pairs are
     # consumed, so taking the keys in sorted order equals taking the minimum
@@ -496,7 +503,6 @@ def find_transfer_stations(
 
 
 def assign_transfer_stations(
-    graph: FloorGraph,
     partition: ZonePartition,
     loads: Mapping[int, float] | None = None,
     zone_ids: Iterable[int] | None = None,
@@ -510,21 +516,20 @@ def assign_transfer_stations(
         for ts in partition.transfer_stations
         if not (ts.station_zone in touch or ts.path_zone in touch)
     ]
-    base = ZonePartition(partition.zones, tuple(kept), partition.design_id)
+    base = ZonePartition(partition.graph, partition.zones, tuple(kept), partition.design_id)
     found: list[TransferStation] = list(kept)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             if a not in touch and b not in touch:
                 continue
-            found.extend(find_transfer_stations(graph, base, a, b, loads))
-    return ZonePartition(partition.zones, tuple(found), partition.design_id)
+            found.extend(find_transfer_stations(base, a, b, loads))
+    return ZonePartition(partition.graph, partition.zones, tuple(found), partition.design_id)
 
 
 # ── Shortest feasible path ───────────────────────────────────────────
 
 
 def shortest_feasible_path(
-    graph: FloorGraph,
     partition: ZonePartition,
     src: int,
     dst: int,
@@ -534,19 +539,16 @@ def shortest_feasible_path(
     Each path is kept on the partition; NoFeasiblePath is raised anew on
     every call.
     """
-    key = ("leg", graph, src, dst)
-    leg = partition._per_graph.get(key)
+    key = ("leg", src, dst)
+    leg = partition._kept.get(key)
     if leg is None:
         zs = partition.zone_of_ws(src)
         zd = partition.zone_of_ws(dst)
         if zs is None or zd is None:
             raise ZoneViolation(f"WS{src if zs is None else dst} belongs to no zone")
-        allowed = frozenset(
-            set(partition.zone(zs).segments)
-            | set(partition.zone(zd).segments)
-            | set(partition.unassigned_segments(graph))
+        leg = partition._kept[key] = partition.graph.shortest_path(
+            src, dst, partition.pair_segments(zs, zd)
         )
-        leg = partition._per_graph[key] = graph.shortest_path(src, dst, allowed)
     return leg
 
 
@@ -554,7 +556,6 @@ def shortest_feasible_path(
 
 
 def zone_load(
-    graph: FloorGraph,
     partition: ZonePartition,
     zone_id: int,
     flows: FlowMatrix,
@@ -604,18 +605,17 @@ def zone_load(
         dests = [j for j in inflow if j in to] if to else []  # station order
         if not dests and not (ends and starts):
             continue
-        row = partition.station_row(graph, zone_id, i)
+        row = partition.station_row(zone_id, i)
         read_row = True
         if ends:
             empty.extend(ends * outflow[j] / total * row[j] for j in starts)
         loaded.extend(to[j] * row[j] for j in dests)
     if not read_row and stations:
-        partition.station_row(graph, zone_id, stations[0])
+        partition.station_row(zone_id, stations[0])
     return (sum(empty) + sum(loaded)) / velocity + total * handling.total
 
 
 def zone_loads(
-    graph: FloorGraph,
     partition: ZonePartition,
     flows: Mapping[int, FlowMatrix],
     velocity: float,
@@ -623,7 +623,7 @@ def zone_loads(
 ) -> dict[int, float]:
     """Load of every zone, in partition order, from its per-zone flows."""
     return {
-        z.id: zone_load(graph, partition, z.id, flows[z.id], velocity, handling)
+        z.id: zone_load(partition, z.id, flows[z.id], velocity, handling)
         for z in partition.zones
     }
 
@@ -631,8 +631,9 @@ def zone_loads(
 # ── Validation ───────────────────────────────────────────────────────
 
 
-def validate_partition(graph: FloorGraph, partition: ZonePartition) -> list[str]:
-    """All invariant violations of a partition, empty when it is valid."""
+def validate_partition(partition: ZonePartition) -> list[str]:
+    """All invariant violations of a partition on its graph, empty when it is valid."""
+    graph = partition.graph
     violations: list[str] = []
     if not partition.zones:
         return ["partition has no zones"]
@@ -640,11 +641,16 @@ def validate_partition(graph: FloorGraph, partition: ZonePartition) -> list[str]
     if len(set(ids)) != len(ids):
         violations.append("duplicate zone ids")
 
+    # Connectivity, tips and connecting paths read the graph at a zone's
+    # workstations and segments, so they are checked only on zones whose
+    # workstations and segments all exist.
+    off_graph: set[int] = set()
     seen_ws: dict[int, int] = {}
     for z in partition.zones:
         for ws in z.workstations:
             if ws not in graph.workstations:
                 violations.append(f"zone {z.id} references unknown WS{ws}")
+                off_graph.add(z.id)
             elif ws in seen_ws:
                 violations.append(f"WS{ws} belongs to zones {seen_ws[ws]} and {z.id}")
             else:
@@ -660,15 +666,16 @@ def validate_partition(graph: FloorGraph, partition: ZonePartition) -> list[str]
         for sid in z.segments:
             if sid not in graph.segments:
                 violations.append(f"zone {z.id} references unknown segment {sid}")
+                off_graph.add(z.id)
             elif sid in claimed:
                 violations.append(f"segment {sid} claimed by zones {claimed[sid]} and {z.id}")
             else:
                 claimed[sid] = z.id
-        if z.workstations and not _zone_connected(graph, z):
+        if z.workstations and z.id not in off_graph and not _zone_connected(graph, z):
             violations.append(f"zone {z.id} is not connected")
 
     for z in partition.zones:
-        if z.workstations and not tip_workstations(graph, z):
+        if z.workstations and z.id not in off_graph and not tip_workstations(graph, z):
             violations.append(f"zone {z.id} has no available tip workstation")
 
     for ts in partition.transfer_stations:
@@ -686,7 +693,7 @@ def validate_partition(graph: FloorGraph, partition: ZonePartition) -> list[str]
                 )
         # The path zone reaches the station over the connecting path, so the
         # station's anchor and the path must join one of the zone's points.
-        if ts.path_zone in ids and not _path_joins_zone(
+        if ts.path_zone in ids and ts.path_zone not in off_graph and not _path_joins_zone(
             graph, ts, partition.zone(ts.path_zone)
         ):
             violations.append(
@@ -730,13 +737,11 @@ class TipMoves:
 
     def __init__(
         self,
-        graph: FloorGraph,
         design: ZonePartition,
         loads: Mapping[int, float],
         loads_of: Callable[[ZonePartition], dict[int, float]],
         zone_ids: Iterable[int] | None = None,
     ) -> None:
-        self._graph = graph
         self.design = design
         self.loads = loads  # zone loads of design; they pick the transfer stations
         self._loads_of = loads_of
@@ -748,7 +753,7 @@ class TipMoves:
     ) -> tuple[int, ZonePartition, dict[int, float]] | None:
         """Draw the giver's tips in random order until one moves to a valid
         design; return (ws, moved design, its loads), or None if none does."""
-        tips = list(tip_workstations(self._graph, self.design.zone(giver)))
+        tips = list(tip_workstations(self.design.graph, self.design.zone(giver)))
         while tips:
             ws = rng.choice(tips)
             tips.remove(ws)
@@ -764,11 +769,11 @@ class TipMoves:
         self, giver: int, receiver: int, ws: int
     ) -> tuple[ZonePartition, dict[int, float]] | None:
         try:
-            moved = transfer_tip(self._graph, self.design, giver, receiver, ws)
+            moved = transfer_tip(self.design, giver, receiver, ws)
         except (NotATip, WouldDisconnect, WouldEmptyZone):
             return None
-        moved = assign_transfer_stations(self._graph, moved, self.loads, self._zone_ids)
-        if validate_partition(self._graph, moved):
+        moved = assign_transfer_stations(moved, self.loads, self._zone_ids)
+        if validate_partition(moved):
             return None
         return moved, self._loads_of(moved)
 
@@ -790,9 +795,9 @@ def plan_delivery(
     every call.
     """
     key = ("plan", src, dst)
-    legs = partition._per_graph.get(key)
+    legs = partition._kept.get(key)
     if legs is None:
-        legs = partition._per_graph[key] = tuple(_route_legs(partition, src, dst))
+        legs = partition._kept[key] = tuple(_route_legs(partition, src, dst))
     return list(legs)
 
 
@@ -864,7 +869,9 @@ def partition_to_json(partition: ZonePartition) -> dict:
     }
 
 
-def partition_from_json(data: Mapping) -> ZonePartition:
+def partition_from_json(graph: FloorGraph, data: Mapping) -> ZonePartition:
+    """The design a partition file describes, bound to graph. It is not
+    validated against the graph."""
     major = data.get("schema_version")
     if major != PARTITION_SCHEMA_MAJOR:
         raise LayoutError(f"unsupported partition schema_version {major!r}")
@@ -889,5 +896,5 @@ def partition_from_json(data: Mapping) -> ZonePartition:
         design_id = int(data.get("design_id", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise LayoutError(f"malformed partition file: {exc}") from exc
-    return ZonePartition(zones, stations, design_id)
+    return ZonePartition(graph, zones, stations, design_id)
 

@@ -117,7 +117,7 @@ def twozone_graph():
 
 
 @pytest.fixture
-def twozone_partition():
+def twozone_partition(twozone_graph):
     zone1 = Zone(1, (1, 4, 5), frozenset({"H|I", "I|N", "N|O", "N|S", "R|S"}))
     zone2 = Zone(2, (2, 3, 6), frozenset({"A|F", "C|F"}))
-    return ZonePartition((zone1, zone2))
+    return ZonePartition(twozone_graph, (zone1, zone2))

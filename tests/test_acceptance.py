@@ -208,7 +208,7 @@ def test_criterion_03_load_model_matches_literal_oracle():
     for _ in range(1000):
         graph, n, tree_dist = _random_tree_instance(rng)
         partition = ZonePartition(
-            (Zone(1, tuple(range(1, n + 1)), frozenset(graph.segments)),)
+            graph, (Zone(1, tuple(range(1, n + 1)), frozenset(graph.segments)),)
         )
         from dynzone.zoning import FlowMatrix
 
@@ -221,7 +221,7 @@ def test_criterion_03_load_model_matches_literal_oracle():
                     flows.add(i, j, c)
                     raw[(i, j)] = c
         load = zone_load(
-            graph, partition, 1, flows, velocity, HandlingTimes(t_u, t_l)
+            partition, 1, flows, velocity, HandlingTimes(t_u, t_l)
         )
         # independent literal transcription of the load model
         total = sum(raw.values())
@@ -270,13 +270,14 @@ def dumbbell():
 @pytest.fixture
 def three_zones(dumbbell):
     partition = ZonePartition(
+        dumbbell,
         (
             Zone(1, (1, 2), frozenset({"W1|W2"})),
             Zone(2, (3, 4), frozenset({"W3|W4"})),
             Zone(3, (5, 6), frozenset({"W5|W6"})),
         )
     )
-    return assign_transfer_stations(dumbbell, partition)
+    return assign_transfer_stations(partition)
 
 
 SYMMETRIC_DELIVERIES = [(1, 2), (2, 1), (2, 3), (5, 4), (6, 5), (5, 6)]
@@ -293,10 +294,10 @@ def _ddz_run(graph, partition, tasks, seed, k, episodes=0, iterations=0):
     positions = {1: (10.0, 0.0), 2: (60.0, 0.0), 3: (110.0, 0.0)}
     config = DdzConfig(episodes=episodes, iterations=iterations)
     schedule = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=30, k=k)
-    loads = fleet_loads(graph, partition, tasks, velocity=100.0, handling=HANDLING)
+    loads = fleet_loads(partition, tasks, velocity=100.0, handling=HANDLING)
     mean = sum(loads.values()) / len(loads)
     return ddz_optimize(
-        graph, partition, comm_graph(positions, 200.0), tasks, {z: mean for z in loads}, 1,
+        partition, comm_graph(positions, 200.0), tasks, {z: mean for z in loads}, 1,
         config, schedule, random.Random(seed), 100.0, HANDLING,
     )
 
@@ -357,10 +358,10 @@ def test_criterion_06_toy_scale_optimality(dumbbell):
             Zone(1, left, frozenset(seg(w, w + 1) for w in left[:-1])),
             Zone(2, right, frozenset(seg(w, w + 1) for w in right[:-1])),
         )
-        return assign_transfer_stations(dumbbell, ZonePartition(zones))
+        return assign_transfer_stations(ZonePartition(dumbbell, zones))
 
     optimum = min(
-        load_spread(dumbbell, chain_partition(s), source, 100.0, HANDLING)
+        load_spread(chain_partition(s), source, 100.0, HANDLING)
         for s in range(1, 6)
     )
     schedule = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=30)
@@ -385,7 +386,7 @@ def test_criterion_07_every_adopted_partition_valid(matrix):
     adopted = 0
     for run in matrix.runs.values():
         for partition in run.adopted:
-            assert validate_partition(matrix.graph, partition) == []
+            assert validate_partition(partition) == []
             adopted += 1
     assert adopted >= len(matrix.runs)
     _ok(7, f"{adopted} adopted partitions across the matrix, zero violations")
@@ -395,7 +396,7 @@ def test_criterion_08_scheduler_orderings_and_no_starvation(dumbbell):
     rng = random.Random(8)
     now = 50.0
     tasks = [
-        PartTask(i, "X", rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6),
+        PartTask(i, rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6),
                  rng.uniform(0.0, now))
         for i in range(1, 31)
     ]
@@ -424,7 +425,7 @@ def test_criterion_08_scheduler_orderings_and_no_starvation(dumbbell):
     queue = RobotQueue(1)
     clock, served = 0.0, 0
     backlog = [
-        PartTask(i, "X", rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6), 0.0)
+        PartTask(i, rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6), 0.0)
         for i in range(1, 501)
     ]
     queue.pending.extend(backlog[:50])
@@ -476,12 +477,13 @@ def test_seed1_event_log_fingerprints(matrix):
 def test_criterion_10_shared_transfer_station_fixture():
     graph = load_layout("fig2")
     partition = ZonePartition(
+        graph,
         (
             Zone(1, (1, 4, 5), frozenset({"H|I", "I|N", "N|O", "N|S", "R|S"})),
             Zone(2, (2, 3, 6), frozenset({"A|F", "C|F"})),
         )
     )
-    found = find_transfer_stations(graph, partition, 1, 2, loads={1: 10.0, 2: 20.0})
+    found = find_transfer_stations(partition, 1, 2, loads={1: 10.0, 2: 20.0})
     assert len(found) == 1
     ts = found[0]
     assert ts.ws == 2

@@ -51,13 +51,14 @@ def dumbbell():
 @pytest.fixture
 def three_zones(dumbbell):
     partition = ZonePartition(
+        dumbbell,
         (
             Zone(1, (1, 2), frozenset({"W1|W2"})),
             Zone(2, (3, 4), frozenset({"W3|W4"})),
             Zone(3, (5, 6), frozenset({"W5|W6"})),
         )
     )
-    return assign_transfer_stations(dumbbell, partition)
+    return assign_transfer_stations(partition)
 
 
 def _chain_partition(dumbbell, split):
@@ -69,7 +70,7 @@ def _chain_partition(dumbbell, split):
         Zone(1, left, frozenset(seg(w, w + 1) for w in left[:-1])),
         Zone(2, right, frozenset(seg(w, w + 1) for w in right[:-1])),
     )
-    return assign_transfer_stations(dumbbell, ZonePartition(zones))
+    return assign_transfer_stations(ZonePartition(dumbbell, zones))
 
 
 SYMMETRIC_DELIVERIES = [(1, 2), (2, 1), (2, 3), (5, 4), (6, 5), (5, 6)]
@@ -84,7 +85,7 @@ def _symmetric_source(dumbbell):
 
 def _enumerated_optimum(dumbbell, source):
     spreads = {
-        split: load_spread(dumbbell, _chain_partition(dumbbell, split), source, V, HANDLING)
+        split: load_spread(_chain_partition(dumbbell, split), source, V, HANDLING)
         for split in range(1, 6)
     }
     return min(spreads.values()), spreads
@@ -148,20 +149,20 @@ def test_total_trips_equal_leg_count(dumbbell, three_zones):
 def test_initial_partition_single_zone(dumbbell):
     p = initial_partition(dumbbell, 1)
     assert p.zone(1).workstations == (1, 2, 3, 4, 5, 6)
-    assert validate_partition(dumbbell, p) == []
+    assert validate_partition(p) == []
 
 
 def test_initial_partition_splits_dumbbell_evenly(dumbbell):
     p = initial_partition(dumbbell, 2)
     assert p.zone(1).workstations == (1, 2, 3)
     assert p.zone(2).workstations == (4, 5, 6)
-    assert validate_partition(dumbbell, p) == []
+    assert validate_partition(p) == []
 
 
 def test_initial_partition_desk_layout_three_zones():
     graph = load_layout("layout18")
     p = initial_partition(graph, 3)
-    assert validate_partition(graph, p) == []
+    assert validate_partition(p) == []
     covered = sorted(ws for z in p.zones for ws in z.workstations)
     assert covered == sorted(graph.workstations)
 
@@ -180,7 +181,7 @@ def test_initial_partition_searches_free_paths_once_per_source(monkeypatch):
         ) or settle(source, targets, allowed, wanted, *rest),
     )
     p = initial_partition(graph, 6)
-    assert validate_partition(graph, p) == []
+    assert validate_partition(p) == []
     assert len(free_sources) == len(set(free_sources)) < len(graph.workstations)
 
 
@@ -193,7 +194,7 @@ def _unbounded_initial_partition(graph, nz):
         raise InfeasibleStart("count")
     if nz == 1:
         zone = Zone(1, tuple(ws_ids), frozenset(graph.segments))
-        return assign_transfer_stations(graph, ZonePartition((zone,)))
+        return assign_transfer_stations(ZonePartition(graph, (zone,)))
     dist = {(u, v): graph.distance(u, v) for u in ws_ids for v in ws_ids if u < v}
 
     def d(u, v):
@@ -231,8 +232,8 @@ def _unbounded_initial_partition(graph, nz):
     zones = tuple(
         Zone(z, tuple(sorted(members[z])), frozenset(segments[z])) for z in sorted(members)
     )
-    partition = assign_transfer_stations(graph, ZonePartition(zones))
-    if validate_partition(graph, partition):
+    partition = assign_transfer_stations(ZonePartition(graph, zones))
+    if validate_partition(partition):
         raise InfeasibleStart("invalid")
     return partition
 
@@ -278,7 +279,7 @@ def test_initial_design_heap_pops_on_the_grid48_pool(monkeypatch):
     for index in range(1, 11):
         inst = workloads.make_instance("dispatch-grid48", index)
         graph = floorgraph.FloorGraph.from_json(json.loads(inst.layout_text))
-        assert validate_partition(graph, initial_partition(graph, 6)) == []
+        assert validate_partition(initial_partition(graph, 6)) == []
     assert len(pops) <= 200_000
 
 
@@ -326,7 +327,7 @@ def test_sa_reaches_symmetric_optimum(dumbbell):
         dumbbell, source, 2, SCHEDULE, random.Random(7), V, HANDLING, iterations=120
     )
     assert res.objective == pytest.approx(optimum, abs=1e-6)
-    assert validate_partition(dumbbell, res.partition) == []
+    assert validate_partition(res.partition) == []
 
 
 def test_sa_progress_non_increasing(dumbbell):
@@ -380,7 +381,7 @@ def test_ga_matches_enumerated_optimum(dumbbell):
     config = GaConfig(population=16, generations=25, mutation=0.2)
     res = ga_optimize(dumbbell, source, 2, config, random.Random(1), V, HANDLING)
     assert res.objective == pytest.approx(optimum, abs=1e-6)
-    assert validate_partition(dumbbell, res.partition) == []
+    assert validate_partition(res.partition) == []
 
 
 def test_ga_deterministic(dumbbell):
@@ -395,7 +396,7 @@ def test_decode_repairs_disconnected_genome(dumbbell):
     # Zone 1 split across both ends of the line must be stitched back together.
     p = decode_genome(dumbbell, (1, 2, 2, 2, 2, 1), 2)
     assert p is not None
-    assert validate_partition(dumbbell, p) == []
+    assert validate_partition(p) == []
     assert len(p.zones) == 2
 
 
@@ -434,6 +435,6 @@ def test_dispatch_imbalanced_goes_direct(dumbbell, three_zones):
 
 
 def test_dispatch_orphan_part(dumbbell):
-    partial = ZonePartition((Zone(1, (1, 2), frozenset({"W1|W2"})),))
+    partial = ZonePartition(dumbbell, (Zone(1, (1, 2), frozenset({"W1|W2"})),))
     with pytest.raises(OrphanPart):
         load_share_dispatch(partial, 5, 1, balanced=False)

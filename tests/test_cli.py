@@ -57,10 +57,10 @@ def test_optimize_single_zone_trivial(tmp_path, toy_scenario):
          "--method", "sa", "--nz", "1", "--seed", "0", "--out", str(out)]
     )
     assert code == 0
-    partition = partition_from_json(json.loads(out.read_text()))
+    partition = partition_from_json(load_layout("dumbbell"), json.loads(out.read_text()))
     assert partition.nz == 1
     assert sorted(partition.zones[0].workstations) == [1, 2, 3, 4, 5, 6]
-    assert validate_partition(load_layout("dumbbell"), partition) == []
+    assert validate_partition(partition) == []
 
 
 @pytest.mark.parametrize("method", ["sa", "ga"])
@@ -177,6 +177,26 @@ def test_simulate_with_trained_partition(tmp_path, toy_scenario):
     assert code == 0
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["initial_partition"] == str(part)
+
+
+def test_simulate_partition_of_another_layout_exits_2(tmp_path, capsys):
+    from dynzone.baselines import initial_partition
+    from dynzone.zoning import partition_to_json
+
+    part = tmp_path / "dumbbell-design.json"
+    part.write_text(json.dumps(partition_to_json(initial_partition(load_layout("dumbbell"), 2))))
+    run = tmp_path / "run"
+    code = main(
+        ["simulate", "--layout", "layout18", "--scenario", "scenario100",
+         "--method", "sa", "--seed", "1", "--out", str(run), "--partition", str(part)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        f"error: {part}: invalid partition:"
+    ]
+    assert "  zone 1 references unknown segment W1|W2" in err
+    assert not (run / "manifest.json").exists()
 
 
 def test_simulate_deadlock_exit_4(tmp_path, toy_scenario, monkeypatch, capsys):

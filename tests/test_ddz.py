@@ -39,13 +39,14 @@ def dumbbell():
 @pytest.fixture
 def three_zones(dumbbell):
     partition = ZonePartition(
+        dumbbell,
         (
             Zone(1, (1, 2), frozenset({"W1|W2"})),
             Zone(2, (3, 4), frozenset({"W3|W4"})),
             Zone(3, (5, 6), frozenset({"W5|W6"})),
         )
     )
-    return assign_transfer_stations(dumbbell, partition)
+    return assign_transfer_stations(partition)
 
 
 # ── Temperature schedule ─────────────────────────────────────────────
@@ -163,11 +164,10 @@ def _run(graph, partition, tasks, seed, episodes=0, iterations=0, k=1.0,
          links=comm_graph(POSITIONS, 200.0)):
     config = DdzConfig(episodes=episodes, iterations=iterations)
     schedule = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=30, k=k)
-    loads = fleet_loads(graph, partition, tasks, velocity=100.0, handling=HANDLING)
+    loads = fleet_loads(partition, tasks, velocity=100.0, handling=HANDLING)
     mean = sum(loads.values()) / len(loads)
     consensus = {z: mean for z in loads}
     return ddz_optimize(
-        graph,
         partition,
         links,
         tasks,
@@ -186,7 +186,7 @@ def test_balanced_start_keeps_initial_design(dumbbell, three_zones):
     assert result.sigma_initial == 0.0
     assert result.sigma_final == 0.0
     assert result.partition.zone(1).workstations == (1, 2)
-    assert validate_partition(dumbbell, result.partition) == []
+    assert validate_partition(result.partition) == []
 
 
 def test_unbalanced_fleet_improves_sigma(dumbbell, three_zones):
@@ -194,7 +194,7 @@ def test_unbalanced_fleet_improves_sigma(dumbbell, three_zones):
     for seed in (0, 1, 2):
         result = _run(dumbbell, three_zones, tasks, seed=seed)
         assert result.sigma_final <= result.sigma_initial + 1e-9
-        assert validate_partition(dumbbell, result.partition) == []
+        assert validate_partition(result.partition) == []
 
 
 def test_best_sigma_non_increasing_within_episode(dumbbell, three_zones):
@@ -250,7 +250,6 @@ def test_no_neighbors_raises(dumbbell, three_zones):
     schedule = AnnealingSchedule()
     with pytest.raises(NoNeighbors):
         ddz_optimize(
-            dumbbell,
             three_zones,
             comm_graph(POSITIONS, 5.0),
             [],

@@ -26,17 +26,18 @@ def dumbbell():
 @pytest.fixture
 def three_zones(dumbbell):
     partition = ZonePartition(
+        dumbbell,
         (
             Zone(1, (1, 2), frozenset({"W1|W2"})),
             Zone(2, (3, 4), frozenset({"W3|W4"})),
             Zone(3, (5, 6), frozenset({"W5|W6"})),
         )
     )
-    return assign_transfer_stations(dumbbell, partition)
+    return assign_transfer_stations(partition)
 
 
 def _task(pid, pickup, dropoff, age_start, destination=None):
-    return PartTask(pid, "A", pickup, dropoff, destination or dropoff, age_start)
+    return PartTask(pid, pickup, dropoff, destination or dropoff, age_start)
 
 
 # ── Scoring and ranking ──────────────────────────────────────────────
@@ -160,8 +161,8 @@ def test_identity_repair_keeps_queues(dumbbell, three_zones):
 def test_moved_workstation_moves_task(dumbbell, three_zones):
     # Same layout re-partitioned so W2 now belongs to zone 2.
     shifted = assign_transfer_stations(
-        dumbbell,
         ZonePartition(
+            dumbbell,
             (
                 Zone(1, (1,), frozenset()),
                 Zone(2, (2, 3, 4), frozenset({"W2|W3", "W3|W4"})),
@@ -191,8 +192,8 @@ def test_selected_task_stays_pinned(dumbbell, three_zones):
     queues = _queues(three_zones, {})
     queues[1].selected = pinned
     shifted = assign_transfer_stations(
-        dumbbell,
         ZonePartition(
+            dumbbell,
             (
                 Zone(1, (1,), frozenset()),
                 Zone(2, (2, 3, 4), frozenset({"W2|W3", "W3|W4"})),
@@ -206,6 +207,7 @@ def test_selected_task_stays_pinned(dumbbell, three_zones):
 
 def test_orphan_part_raises(dumbbell, three_zones):
     partial = ZonePartition(
+        dumbbell,
         (
             Zone(1, (1, 2), frozenset({"W1|W2"})),
             Zone(2, (3, 4), frozenset({"W3|W4"})),
@@ -231,8 +233,8 @@ def test_conservation_under_random_repairs(dumbbell, three_zones):
     )
     total = sum(len(q.pending) + (q.selected is not None) for q in queues.values())
     shifted = assign_transfer_stations(
-        dumbbell,
         ZonePartition(
+            dumbbell,
             (
                 Zone(1, (1, 2, 3), frozenset({"W1|W2", "W2|W3"})),
                 Zone(2, (4,), frozenset()),

@@ -75,7 +75,7 @@ def _sa(graph, seed, stride=7):
 def _ddz(graph, seed, stride=3):
     partition = initial_partition(graph, 3)
     tasks = _queued(stride)
-    loads = fleet_loads(graph, partition, tasks, VELOCITY, HANDLING)
+    loads = fleet_loads(partition, tasks, VELOCITY, HANDLING)
     mean = sum(loads.values()) / len(loads)
     positions = {
         z.id: (graph.points[graph.anchor_of(z.workstations[0])].x,
@@ -83,7 +83,7 @@ def _ddz(graph, seed, stride=3):
         for z in partition.zones
     }
     return ddz_optimize(
-        graph, partition, comm_graph(positions, 250.0), tasks, {z: mean for z in loads}, 1,
+        partition, comm_graph(positions, 250.0), tasks, {z: mean for z in loads}, 1,
         DdzConfig(iterations=40), SCHEDULE, random.Random(seed), VELOCITY, HANDLING,
     )
 
@@ -116,10 +116,10 @@ def _count_moves(monkeypatch):
     calls: list[tuple] = []
     original = zoning.transfer_tip
 
-    def counted(graph, partition, from_zone, to_zone, ws):
+    def counted(partition, from_zone, to_zone, ws):
         # The design itself is kept, so its id cannot be reused by another.
         calls.append((partition, from_zone, to_zone, ws))
-        return original(graph, partition, from_zone, to_zone, ws)
+        return original(partition, from_zone, to_zone, ws)
 
     monkeypatch.setattr(zoning, "transfer_tip", counted)
     return calls

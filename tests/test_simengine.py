@@ -130,7 +130,7 @@ def test_ddz_searches_only_the_robots_the_repair_paused(desk, monkeypatch):
     sim = Simulation(desk, [], cfg)
     for robot, ws in ((1, 1), (2, 2), (3, 16)):
         sim.robots[robot].point = desk.anchor_of(ws)
-    sim.robots[1].queue.selected = PartTask(1, "A", 1, 2, 2, 0.0)
+    sim.robots[1].queue.selected = PartTask(1, 1, 2, 2, 0.0)
     searched = []
 
     def spy(*args, **kwargs):
@@ -363,7 +363,7 @@ def test_rejected_repair_keeps_old_partition(dumbbell):
     sim = Simulation(dumbbell, [("X", (2, 4))], _config(n_robots=2))
     before = sim.partition
     broken = ZonePartition(
-        (Zone(1, (1, 2, 3), frozenset()), Zone(2, (4, 5, 6), frozenset()))
+        dumbbell, (Zone(1, (1, 2, 3), frozenset()), Zone(2, (4, 5, 6), frozenset()))
     )
     sim._apply_repair(broken)
     assert sim.partition is before
@@ -414,9 +414,22 @@ def test_info_log_names_time_cap_and_deadlock_exits(dumbbell, monkeypatch, caplo
 
 
 def test_invalid_initial_partition_rejected(dumbbell):
-    broken = ZonePartition((Zone(1, (1, 2), frozenset({"W1|W2"})),))
+    broken = ZonePartition(dumbbell, (Zone(1, (1, 2), frozenset({"W1|W2"})),))
     with pytest.raises(LayoutError):
         Simulation(dumbbell, [], _config(), start=broken)
+
+
+def test_initial_partition_of_another_graph_rejected(dumbbell):
+    # An equal floor loaded twice is two graphs: a design valid on the copy
+    # is still bound to the copy.
+    copy = load_layout("dumbbell")
+    start = Simulation(copy, [], _config(n_robots=2)).partition
+    assert start.graph is copy
+    with pytest.raises(LayoutError, match="another floor graph"):
+        Simulation(dumbbell, [], _config(n_robots=2), start=start)
+    rebound = ZonePartition(dumbbell, start.zones, start.transfer_stations, start.design_id)
+    assert rebound == start
+    assert Simulation(dumbbell, [], _config(n_robots=2), start=rebound).partition is rebound
 
 
 # ── Dispatch on a generated floor ────────────────────────────────────

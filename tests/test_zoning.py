@@ -55,44 +55,44 @@ def test_midchain_workstation_is_not_a_tip(twozone_graph, twozone_partition):
 
 
 def test_tip_removal_collapses_branch(twozone_graph, twozone_partition):
-    shrunk, freed = remove_tip(twozone_graph, twozone_partition.zone(1), 4)
+    shrunk = remove_tip(twozone_graph, twozone_partition.zone(1), 4)
     assert shrunk.workstations == (1, 5)
     assert shrunk.segments == frozenset({"H|I", "I|N", "N|S", "R|S"})
-    assert freed == frozenset({"N|O"})
 
 
 # ── Tip transfers ────────────────────────────────────────────────────
 
 
 def test_transfer_tip_roundtrip(twozone_graph, twozone_partition):
-    moved = transfer_tip(twozone_graph, twozone_partition, 1, 2, 1)
+    moved = transfer_tip(twozone_partition, 1, 2, 1)
     assert moved.zone(1).workstations == (4, 5)
     assert 1 in moved.zone(2).workstations
-    back = transfer_tip(twozone_graph, moved, 2, 1, 1)
+    back = transfer_tip(moved, 2, 1, 1)
     for zid in (1, 2):
         assert back.zone(zid).workstations == twozone_partition.zone(zid).workstations
 
 
 def test_transfer_tip_rejects_non_tip(twozone_graph, twozone_partition):
     with pytest.raises(NotATip):
-        transfer_tip(twozone_graph, twozone_partition, 2, 1, 6)
+        transfer_tip(twozone_partition, 2, 1, 6)
 
 
 def test_transfer_tip_rejects_unconnectable(twozone_graph, twozone_partition):
     # WS4's only way out runs through zone 1's remaining primary segments.
     with pytest.raises(WouldDisconnect):
-        transfer_tip(twozone_graph, twozone_partition, 1, 2, 4)
+        transfer_tip(twozone_partition, 1, 2, 4)
 
 
 def test_transfer_tip_refuses_to_empty_zone(twozone_graph):
     partition = ZonePartition(
+        twozone_graph,
         (
             Zone(1, (1,), frozenset({"H|I"})),
             Zone(2, (2, 3, 4, 5, 6), frozenset({"A|F", "C|F", "C|D", "D|I", "I|N", "N|O", "N|S", "R|S"})),
         )
     )
     with pytest.raises(WouldEmptyZone):
-        transfer_tip(twozone_graph, partition, 1, 2, 1)
+        transfer_tip(partition, 1, 2, 1)
 
 
 def test_transfer_preserves_ws_count_and_disjoint_segments(twozone_graph, twozone_partition):
@@ -104,14 +104,14 @@ def test_transfer_preserves_ws_count_and_disjoint_segments(twozone_graph, twozon
         tips = tip_workstations(twozone_graph, partition.zone(frm))
         ws = rng.choice(tips)
         try:
-            partition = transfer_tip(twozone_graph, partition, frm, to, ws)
+            partition = transfer_tip(partition, frm, to, ws)
         except (NotATip, WouldDisconnect, WouldEmptyZone):
             continue
         assert sum(len(z.workstations) for z in partition.zones) == total_ws
         assert not (partition.zone(1).segments & partition.zone(2).segments)
         # Structural zone checks must keep passing after every move.
-        partition_full = assign_transfer_stations(twozone_graph, partition)
-        violations = validate_partition(twozone_graph, partition_full)
+        partition_full = assign_transfer_stations(partition)
+        violations = validate_partition(partition_full)
         assert violations == []
 
 
@@ -120,7 +120,7 @@ def test_transfer_preserves_ws_count_and_disjoint_segments(twozone_graph, twozon
 
 def test_fig2_transfer_station(twozone_graph, twozone_partition):
     found = find_transfer_stations(
-        twozone_graph, twozone_partition, 1, 2, loads={1: 10.0, 2: 20.0}
+        twozone_partition, 1, 2, loads={1: 10.0, 2: 20.0}
     )
     assert len(found) == 1
     ts = found[0]
@@ -132,14 +132,14 @@ def test_fig2_transfer_station(twozone_graph, twozone_partition):
 
 def test_transfer_stations_symmetric_in_argument_order(twozone_graph, twozone_partition):
     loads = {1: 10.0, 2: 20.0}
-    ab = find_transfer_stations(twozone_graph, twozone_partition, 1, 2, loads)
-    ba = find_transfer_stations(twozone_graph, twozone_partition, 2, 1, loads)
+    ab = find_transfer_stations(twozone_partition, 1, 2, loads)
+    ba = find_transfer_stations(twozone_partition, 2, 1, loads)
     assert ab == ba
 
 
 def test_transfer_station_load_tie_goes_to_lower_zone_id(twozone_graph, twozone_partition):
     found = find_transfer_stations(
-        twozone_graph, twozone_partition, 1, 2, loads={1: 5.0, 2: 5.0}
+        twozone_partition, 1, 2, loads={1: 5.0, 2: 5.0}
     )
     assert len(found) == 1
     assert found[0].station_zone == 1
@@ -161,9 +161,9 @@ def test_no_adjacent_tips_yields_empty_set():
         threshold=10,
     )
     partition = ZonePartition(
-        (Zone(1, (1, 2), frozenset({"A|B"})), Zone(2, (3, 4), frozenset({"C|D"})))
+        g, (Zone(1, (1, 2), frozenset({"A|B"})), Zone(2, (3, 4), frozenset({"C|D"})))
     )
-    assert find_transfer_stations(g, partition, 1, 2, {1: 0.0, 2: 0.0}) == ()
+    assert find_transfer_stations(partition, 1, 2, {1: 0.0, 2: 0.0}) == ()
 
 
 # ── Shortest feasible path ───────────────────────────────────────────
@@ -171,15 +171,16 @@ def test_no_adjacent_tips_yields_empty_set():
 
 def test_feasible_path_vacuous_for_whole_graph_zone(twozone_graph):
     partition = ZonePartition(
+        twozone_graph,
         (Zone(1, tuple(sorted(twozone_graph.workstations)), frozenset(twozone_graph.segments)),)
     )
     for a, b in [(1, 2), (3, 5), (4, 6)]:
-        feasible = shortest_feasible_path(twozone_graph, partition, a, b)
+        feasible = shortest_feasible_path(partition, a, b)
         assert feasible.distance == twozone_graph.distance(a, b)
 
 
 def test_feasible_path_never_shorter_than_unrestricted(twozone_graph, twozone_partition):
-    p = shortest_feasible_path(twozone_graph, twozone_partition, 2, 1)
+    p = shortest_feasible_path(twozone_partition, 2, 1)
     assert p.distance >= twozone_graph.distance(2, 1)
 
 
@@ -204,6 +205,7 @@ def test_feasible_path_matches_enumeration_on_grid():
         threshold=15,
     )
     partition = ZonePartition(
+        g,
         (
             Zone(1, (1, 2, 4), frozenset({"J00|J10", "J00|J01"})),
             Zone(2, (3, 5, 6), frozenset({"J11|J21", "J20|J21"})),
@@ -212,7 +214,7 @@ def test_feasible_path_matches_enumeration_on_grid():
     allowed = (
         partition.zone(1).segments
         | partition.zone(2).segments
-        | partition.unassigned_segments(g)
+        | partition.unassigned_segments()
     )
 
     adj = reference_dijkstra.adjacency(g)
@@ -232,7 +234,7 @@ def test_feasible_path_matches_enumeration_on_grid():
 
     for src, dst in [(1, 6), (2, 5), (4, 3)]:
         expect = enumerate_paths(g.anchor_of(src), g.anchor_of(dst))
-        got = shortest_feasible_path(g, partition, src, dst)
+        got = shortest_feasible_path(partition, src, dst)
         assert got.distance == pytest.approx(expect)
 
 
@@ -247,27 +249,27 @@ def pair_zone():
         workstations=[(1, "P", 1.0), (2, "Q", 1.0)],
         threshold=200,
     )
-    partition = ZonePartition((Zone(1, (1, 2), frozenset({"P|Q"})),))
+    partition = ZonePartition(g, (Zone(1, (1, 2), frozenset({"P|Q"})),))
     return g, partition
 
 
 def test_zero_flow_zero_load(pair_zone):
     g, partition = pair_zone
-    assert zone_load(g, partition, 1, FlowMatrix(), 100.0, HandlingTimes(0.5, 0.5)) == 0.0
+    assert zone_load(partition, 1, FlowMatrix(), 100.0, HandlingTimes(0.5, 0.5)) == 0.0
 
 
 def test_hand_computed_two_station_load(pair_zone):
     g, partition = pair_zone
     flows = FlowMatrix({(1, 2): 3.0})
     # 3 loaded trips 1->2 and 3 expected empty trips 2->1, one minute each.
-    assert zone_load(g, partition, 1, flows, 100.0, NO_HANDLING) == pytest.approx(6.0)
-    assert zone_load(g, partition, 1, flows, 100.0, HandlingTimes(0.5, 0.5)) == pytest.approx(9.0)
+    assert zone_load(partition, 1, flows, 100.0, NO_HANDLING) == pytest.approx(6.0)
+    assert zone_load(partition, 1, flows, 100.0, HandlingTimes(0.5, 0.5)) == pytest.approx(9.0)
 
 
 def test_zero_velocity_rejected(pair_zone):
     g, partition = pair_zone
     with pytest.raises(ZeroVelocity):
-        zone_load(g, partition, 1, FlowMatrix(), 0.0, NO_HANDLING)
+        zone_load(partition, 1, FlowMatrix(), 0.0, NO_HANDLING)
 
 
 def _literal_load(dist, flows, stations, velocity, t_u, t_l):
@@ -300,7 +302,7 @@ def _station_matrix(graph, partition, zone_id):
     station order, read from the kept station rows."""
     stations = partition.stations_of_zone(zone_id)
     return {
-        (i, j): partition.station_row(graph, zone_id, i)[j] for i in stations for j in stations
+        (i, j): partition.station_row(zone_id, i)[j] for i in stations for j in stations
     }
 
 
@@ -316,7 +318,7 @@ def test_load_matches_literal_formula_oracle():
         workstations=[(1, "P", 1.0), (2, "Q", 1.0), (3, "U", 1.0), (4, "V", 1.0)],
         threshold=200,
     )
-    partition = ZonePartition((Zone(1, (1, 2, 3, 4), frozenset(g.segments)),))
+    partition = ZonePartition(g, (Zone(1, (1, 2, 3, 4), frozenset(g.segments)),))
     stations = (1, 2, 3, 4)
     rng = random.Random(42)
     for _ in range(50):
@@ -328,7 +330,7 @@ def test_load_matches_literal_formula_oracle():
                     c = float(rng.randint(0, 8))
                     flows.add(i, j, c)
                     raw[(i, j)] = raw.get((i, j), 0.0) + c
-        load = zone_load(g, partition, 1, flows, 120.0, HandlingTimes(0.3, 0.2))
+        load = zone_load(partition, 1, flows, 120.0, HandlingTimes(0.3, 0.2))
         dist = _station_matrix(g, partition, 1)
         assert load == pytest.approx(_literal_load(dist, raw, stations, 120.0, 0.3, 0.2), rel=1e-9)
 
@@ -341,7 +343,7 @@ def test_load_monotone_in_flows(pair_zone):
     for _ in range(20):
         i, j = rng.sample([1, 2], 2)
         flows.add(i, j, 1.0)
-        load = zone_load(g, partition, 1, flows, 100.0, HandlingTimes(0.1, 0.1))
+        load = zone_load(partition, 1, flows, 100.0, HandlingTimes(0.1, 0.1))
         assert load >= prev - 1e-9
         prev = load
 
@@ -352,12 +354,13 @@ def test_load_requires_connected_stations(twozone_graph, twozone_partition):
     from dynzone.zoning import TransferStation
 
     broken = ZonePartition(
+        twozone_graph,
         twozone_partition.zones,
         (TransferStation(3, (), 2, 1),),  # WS3 claimed reachable by zone 1 with no path
     )
     flows = FlowMatrix({(1, 4): 1.0})
     with pytest.raises(NoFeasiblePath):
-        zone_load(twozone_graph, broken, 1, flows, 100.0, NO_HANDLING)
+        zone_load(broken, 1, flows, 100.0, NO_HANDLING)
 
 
 # ── Validation ───────────────────────────────────────────────────────
@@ -365,16 +368,17 @@ def test_load_requires_connected_stations(twozone_graph, twozone_partition):
 
 def test_whole_graph_single_zone_is_valid(twozone_graph):
     partition = ZonePartition(
+        twozone_graph,
         (Zone(1, tuple(sorted(twozone_graph.workstations)), frozenset(twozone_graph.segments)),)
     )
-    assert validate_partition(twozone_graph, partition) == []
+    assert validate_partition(partition) == []
 
 
 def test_duplicate_membership_violation(twozone_graph, twozone_partition):
     z1 = twozone_partition.zone(1)
     z2 = twozone_partition.zone(2)
-    dup = ZonePartition((z1, Zone(2, z2.workstations + (1,), z2.segments)))
-    violations = validate_partition(twozone_graph, dup)
+    dup = ZonePartition(twozone_graph, (z1, Zone(2, z2.workstations + (1,), z2.segments)))
+    violations = validate_partition(dup)
     assert any("WS1" in v and "zones" in v for v in violations)
 
 
@@ -384,6 +388,7 @@ def test_crossing_connecting_path_violation(twozone_graph):
     # Three zones; a connecting path between zones 1 and 3 runs through
     # zone 2's primary segment C|D.
     partition = ZonePartition(
+        twozone_graph,
         (
             Zone(1, (1, 4, 5), frozenset({"H|I", "I|N", "N|O", "N|S", "R|S"})),
             Zone(2, (2,), frozenset({"C|D"})),
@@ -395,37 +400,39 @@ def test_crossing_connecting_path_violation(twozone_graph):
             TransferStation(2, ("C|F",), 2, 3),
         ),
     )
-    violations = validate_partition(twozone_graph, partition)
+    violations = validate_partition(partition)
     assert any("crosses zone 2" in v for v in violations)
 
 
 def test_transfer_station_path_must_reach_its_path_zone(twozone_graph, twozone_partition):
     # Zone 1 cannot reach WS3 of zone 2: no path joins A to zone 1.
-    unreached = ZonePartition(twozone_partition.zones, (TransferStation(3, (), 2, 1),))
+    unreached = ZonePartition(
+        twozone_graph, twozone_partition.zones, (TransferStation(3, (), 2, 1),)
+    )
     with pytest.raises(NoFeasiblePath):
         _station_matrix(twozone_graph, unreached, 1)
-    assert validate_partition(twozone_graph, unreached) == [
+    assert validate_partition(unreached) == [
         "connecting path of transfer station WS3 does not reach zone 1"
     ]
-    full = assign_transfer_stations(twozone_graph, twozone_partition, loads={1: 20.0, 2: 10.0})
+    full = assign_transfer_stations(twozone_partition, loads={1: 20.0, 2: 10.0})
     (ts,) = full.transfer_stations
-    assert (ts.ws, ts.path_zone) == (1, 2) and validate_partition(twozone_graph, full) == []
+    assert (ts.ws, ts.path_zone) == (1, 2) and validate_partition(full) == []
     # Listed from the other end, the path still joins; one segment short of
     # zone 2, or cut off from the station, it does not.
-    reverse = ZonePartition(full.zones, (TransferStation(1, ts.path[::-1], 1, 2),))
-    assert validate_partition(twozone_graph, reverse) == []
+    reverse = ZonePartition(twozone_graph, full.zones, (TransferStation(1, ts.path[::-1], 1, 2),))
+    assert validate_partition(reverse) == []
     for path in (ts.path[:-1], ts.path[1:]):
-        cut = ZonePartition(full.zones, (TransferStation(1, path, 1, 2),))
-        assert validate_partition(twozone_graph, cut) == [
+        cut = ZonePartition(twozone_graph, full.zones, (TransferStation(1, path, 1, 2),))
+        assert validate_partition(cut) == [
             "connecting path of transfer station WS1 does not reach zone 2"
         ]
 
 
 def test_valid_two_zone_partition(twozone_graph, twozone_partition):
     full = assign_transfer_stations(
-        twozone_graph, twozone_partition, loads={1: 10.0, 2: 20.0}
+        twozone_partition, loads={1: 10.0, 2: 20.0}
     )
-    assert validate_partition(twozone_graph, full) == []
+    assert validate_partition(full) == []
 
 
 # ── Delivery planning ────────────────────────────────────────────────
@@ -438,7 +445,7 @@ def test_plan_within_zone(twozone_graph, twozone_partition):
 
 def test_plan_across_zones_goes_through_transfer_station(twozone_graph, twozone_partition):
     full = assign_transfer_stations(
-        twozone_graph, twozone_partition, loads={1: 10.0, 2: 20.0}
+        twozone_partition, loads={1: 10.0, 2: 20.0}
     )
     legs = plan_delivery(full, 4, 3)
     assert legs == [(4, 2, 1), (2, 3, 2)]  # hand off at WS2
@@ -493,7 +500,7 @@ def _uncached_leg(graph, partition, src, dst):
     allowed = frozenset(
         set(partition.zone(zs).segments)
         | set(partition.zone(zd).segments)
-        | set(partition.unassigned_segments(graph))
+        | set(partition.unassigned_segments())
     )
     return graph.shortest_path(src, dst, allowed)
 
@@ -516,7 +523,7 @@ def test_kept_plans_and_legs_equal_uncached_answers(design, twozone_graph, twozo
     else:
         graph, partition = twozone_graph, twozone_partition
         if design == "twozone-assigned":
-            partition = assign_transfer_stations(graph, partition, {1: 10.0, 2: 20.0})
+            partition = assign_transfer_stations(partition, {1: 10.0, 2: 20.0})
     stations = sorted(graph.workstations) + [99]  # WS99 is in no zone
     pairs = [(a, b) for a in stations for b in stations]
     expect = {
@@ -524,18 +531,20 @@ def test_kept_plans_and_legs_equal_uncached_answers(design, twozone_graph, twozo
                  _answer(_uncached_leg, graph, partition, a, b))
         for a, b in pairs
     }
-    design_copy = ZonePartition(partition.zones, partition.transfer_stations, partition.design_id)
+    design_copy = ZonePartition(
+        graph, partition.zones, partition.transfer_stations, partition.design_id
+    )
     for _ in range(2):  # the second pass reads the kept answers
         for a, b in pairs:
             got = (_answer(plan_delivery, design_copy, a, b),
-                   _answer(shortest_feasible_path, graph, design_copy, a, b))
+                   _answer(shortest_feasible_path, design_copy, a, b))
             assert got == expect[(a, b)]
     errors = {answer for both in expect.values() for answer in both if isinstance(answer, type)}
     assert errors == ({ZoneViolation, NoFeasiblePath} if design == "twozone" else {ZoneViolation})
 
 
 def test_kept_plan_is_copied_to_each_caller(twozone_graph, twozone_partition):
-    full = assign_transfer_stations(twozone_graph, twozone_partition, {1: 10.0, 2: 20.0})
+    full = assign_transfer_stations(twozone_partition, {1: 10.0, 2: 20.0})
     legs = plan_delivery(full, 4, 3)
     legs.append((0, 0, 0))
     legs[0] = None
@@ -545,6 +554,7 @@ def test_kept_plan_is_copied_to_each_caller(twozone_graph, twozone_partition):
 def test_kept_legs_search_once_and_errors_search_every_call(monkeypatch, line_graph):
     # WS1 and WS3 sit in zones that own no segment; zone 3 owns the whole aisle.
     partition = ZonePartition(
+        line_graph,
         (Zone(1, (1,), frozenset()), Zone(2, (3,), frozenset()),
          Zone(3, (2,), frozenset(line_graph.segments)))
     )
@@ -555,14 +565,14 @@ def test_kept_legs_search_once_and_errors_search_every_call(monkeypatch, line_gr
     )
     for _ in range(2):
         with pytest.raises(NoFeasiblePath):
-            shortest_feasible_path(line_graph, partition, 1, 3)
+            shortest_feasible_path(partition, 1, 3)
         with pytest.raises(ZoneViolation):
-            shortest_feasible_path(line_graph, partition, 1, 99)
+            shortest_feasible_path(partition, 1, 99)
         with pytest.raises(ZoneViolation):
             plan_delivery(partition, 99, 1)
         with pytest.raises(NoFeasiblePath):
             plan_delivery(partition, 1, 3)  # no transfer stations
-        assert shortest_feasible_path(line_graph, partition, 1, 2).distance == 10.0
+        assert shortest_feasible_path(partition, 1, 2).distance == 10.0
     assert searches == [(1, 3), (1, 2), (1, 3)]
 
 
@@ -571,10 +581,10 @@ def test_kept_legs_search_once_and_errors_search_every_call(monkeypatch, line_gr
 
 def test_partition_roundtrip(twozone_graph, twozone_partition):
     full = assign_transfer_stations(
-        twozone_graph, twozone_partition, loads={1: 10.0, 2: 20.0}
+        twozone_partition, loads={1: 10.0, 2: 20.0}
     )
     data = partition_to_json(full)
-    again = partition_from_json(data)
+    again = partition_from_json(twozone_graph, data)
     assert again == full
     assert partition_to_json(again) == data
 
@@ -644,7 +654,7 @@ def _cached_lookups(graph, p, ids):
     out = {
         "zone_of_ws": {ws: p.zone_of_ws(ws) for ws in list(graph.workstations) + [999]},
         "assigned": p.assigned_segments(),
-        "unassigned": p.unassigned_segments(graph),
+        "unassigned": p.unassigned_segments(),
     }
     for zid in ids + [999]:
         out[("neighbors", zid)] = p.neighbor_zones(zid)
@@ -654,7 +664,7 @@ def _cached_lookups(graph, p, ids):
         out[("zone", zid)] = p.zone(zid)
         out[("tips", zid)] = tip_workstations(graph, p.zone(zid))
         out[("stations", zid)] = p.stations_of_zone(zid)
-        out[("allowed", zid)] = p.allowed_segments(graph, zid)
+        out[("allowed", zid)] = p.allowed_segments(zid)
         try:
             out[("distances", zid)] = _station_matrix(graph, p, zid)
         except NoFeasiblePath:
@@ -676,7 +686,7 @@ def test_cached_partition_lookups_equal_linear_scans():
             for zid in ids:
                 if None in expect[("distances", zid)].values():
                     expect[("distances", zid)] = None
-            twin = ZonePartition(p.zones, p.transfer_stations, p.design_id)
+            twin = ZonePartition(graph, p.zones, p.transfer_stations, p.design_id)
             for _ in range(2):  # the second pass reads the cached values
                 assert _cached_lookups(graph, p, ids) == expect
             with pytest.raises(KeyError):
@@ -690,10 +700,10 @@ def test_cached_partition_lookups_equal_linear_scans():
             giver, receiver = rng.sample(ids, 2)
             tips = tip_workstations(graph, p.zone(giver))
             try:
-                moved = transfer_tip(graph, p, giver, receiver, rng.choice(tips))
+                moved = transfer_tip(p, giver, receiver, rng.choice(tips))
             except (NotATip, WouldDisconnect, WouldEmptyZone):
                 continue
-            p = assign_transfer_stations(graph, moved, {z: rng.random() for z in ids})
+            p = assign_transfer_stations(moved, {z: rng.random() for z in ids})
     assert seen == 75
 
 
@@ -731,7 +741,7 @@ def _designs(graph):
     from dynzone.errors import InfeasibleStart
 
     yield ZonePartition(
-        (Zone(1, tuple(sorted(graph.workstations)), frozenset(graph.segments)),)
+        graph, (Zone(1, tuple(sorted(graph.workstations)), frozenset(graph.segments)),)
     )
     for nz in (2, 3):
         try:
@@ -760,7 +770,7 @@ def test_sparse_load_equals_full_matrix_sum_exactly():
                         flows.add(i, j, rng.choice([1.0, rng.uniform(0.001, 7.0)]))
                     velocity = rng.uniform(20.0, 200.0)
                     handling = HandlingTimes(rng.uniform(0, 1), rng.uniform(0, 1))
-                    got = zone_load(graph, design, z.id, flows, velocity, handling)
+                    got = zone_load(design, z.id, flows, velocity, handling)
                     assert got == _full_matrix_load(graph, design, z.id, flows, velocity, handling)
                     checked += 1
     assert checked >= 2000
@@ -780,7 +790,7 @@ def test_zone_loads_sweep_once_per_flow_carrying_station(monkeypatch):
     rng = random.Random(8)
     for nz in (2, 3, 4):
         start = initial_partition(graph, nz)
-        design = ZonePartition(start.zones, start.transfer_stations, start.design_id)
+        design = ZonePartition(graph, start.zones, start.transfer_stations, start.design_id)
         flows, expect = {}, 0
         for n, z in enumerate(design.zones):
             stations = design.stations_of_zone(z.id)
@@ -799,23 +809,23 @@ def test_zone_loads_sweep_once_per_flow_carrying_station(monkeypatch):
             expect += len(carrying) or 1
         handling = HandlingTimes(0.1, 0.2)
         sweeps.clear()
-        loads = zone_loads(graph, design, flows, 100.0, handling)
+        loads = zone_loads(design, flows, 100.0, handling)
         assert len(sweeps) == expect < sum(len(design.stations_of_zone(z.id)) for z in design.zones)
         assert loads == {
             z.id: _full_matrix_load(graph, design, z.id, flows[z.id], 100.0, handling)
             for z in design.zones
         }
         sweeps.clear()
-        zone_loads(graph, design, flows, 100.0, handling)
+        zone_loads(design, flows, 100.0, handling)
         assert sweeps == []  # rows are kept on the design
 
 
 def test_zero_flow_load_still_requires_connected_stations(twozone_graph, twozone_partition):
     from dynzone.zoning import TransferStation
 
-    broken = ZonePartition(twozone_partition.zones, (TransferStation(3, (), 2, 1),))
+    broken = ZonePartition(twozone_graph, twozone_partition.zones, (TransferStation(3, (), 2, 1),))
     with pytest.raises(NoFeasiblePath):
-        zone_load(twozone_graph, broken, 1, FlowMatrix(), 100.0, NO_HANDLING)
+        zone_load(broken, 1, FlowMatrix(), 100.0, NO_HANDLING)
 
 
 def _pairwise_transfer_stations(graph, partition, zone_a, zone_b, loads):
@@ -824,7 +834,7 @@ def _pairwise_transfer_stations(graph, partition, zone_a, zone_b, loads):
 
     alpha, beta = sorted((zone_a, zone_b))
     za, zb = partition.zone(alpha), partition.zone(beta)
-    abp = frozenset(za.segments | zb.segments | partition.unassigned_segments(graph))
+    abp = frozenset(za.segments | zb.segments | partition.unassigned_segments())
     keys = []
     for wa in tip_workstations(graph, za):
         for wb in tip_workstations(graph, zb):
@@ -870,7 +880,7 @@ def test_transfer_stations_search_once_per_source_tip(layout):
                         lambda s, t, allowed: sources.append(s) or each(s, t, allowed)
                     )
                     try:
-                        got = find_transfer_stations(graph, p, b, a, loads)
+                        got = find_transfer_stations(p, b, a, loads)
                     finally:
                         del graph.shortest_paths_to_each
                     assert got == expect
@@ -884,25 +894,74 @@ def test_transfer_stations_search_once_per_source_tip(layout):
             giver, receiver = rng.sample(ids, 2)
             try:
                 moved = transfer_tip(
-                    graph, p, giver, receiver, rng.choice(tip_workstations(graph, p.zone(giver)))
+                    p, giver, receiver, rng.choice(tip_workstations(graph, p.zone(giver)))
                 )
             except (NotATip, WouldDisconnect, WouldEmptyZone):
                 continue
-            p = assign_transfer_stations(graph, moved, loads)
+            p = assign_transfer_stations(moved, loads)
     assert searches > 0
 
 
 def test_tips_kept_once_per_graph_on_the_zone(monkeypatch, twozone_graph, twozone_partition):
     from dynzone import zoning
+    from dynzone.floorgraph import FloorGraph
 
     counted = []
     degrees = zoning._zone_degrees
-    monkeypatch.setattr(zoning, "_zone_degrees", lambda z, g: counted.append(z) or degrees(z, g))
+    monkeypatch.setattr(
+        zoning, "_zone_degrees", lambda z, g: counted.append((z, g)) or degrees(z, g)
+    )
     zone = twozone_partition.zone(1)
     twin = Zone(zone.id, zone.workstations, zone.segments)
+    other = FloorGraph.from_json(twozone_graph.to_json())
     first = tip_workstations(twozone_graph, zone)
     assert tip_workstations(twozone_graph, zone) == first
-    assert len(counted) == 1
-    assert tip_workstations(twozone_graph, twin) == first and len(counted) == 2
+    assert counted == [(zone, twozone_graph)]
+    # A zone is a graph-free value: on an equal floor loaded again, and as
+    # an equal zone, its tips are computed once more and kept apart.
+    assert tip_workstations(other, zone) == first
+    assert tip_workstations(other, zone) == first
+    assert tip_workstations(twozone_graph, twin) == first
+    assert counted == [(zone, twozone_graph), (zone, other), (twin, twozone_graph)]
+    assert set(zone._per_graph) == {("tips", twozone_graph), ("tips", other)}
     # The kept tips are no part of the value.
     assert zone == twin and hash(zone) == hash(twin)
+
+
+def test_design_lookups_are_kept_without_the_graph(twozone_graph, twozone_partition):
+    from dynzone.floorgraph import FloorGraph
+    from dynzone.zoning import zone_loads
+
+    full = assign_transfer_stations(twozone_partition, {1: 10.0, 2: 20.0})
+    assert validate_partition(full) == []
+    zone_loads(full, {1: FlowMatrix({(1, 4): 1.0}), 2: FlowMatrix({(3, 2): 1.0})},
+               100.0, NO_HANDLING)
+    shortest_feasible_path(full, 4, 3)
+    plan_delivery(full, 4, 3)
+    kinds = {key[0] for key in full._kept}
+    assert kinds == {"unassigned", "allowed", "pair", "row", "leg", "plan"}
+    assert not any(isinstance(part, FloorGraph) for key in full._kept for part in key)
+    assert full.pair_segments(2, 1) is full.pair_segments(1, 2)
+    assert full.pair_segments(1, 2) == (
+        full.zone(1).segments | full.zone(2).segments | full.unassigned_segments()
+    )
+    # The graph is no part of the value either.
+    assert "graph" not in repr(full)
+    rebound = ZonePartition(
+        FloorGraph.from_json(twozone_graph.to_json()),
+        full.zones, full.transfer_stations, full.design_id,
+    )
+    assert rebound == full and hash(rebound) == hash(full)
+
+
+def test_unknown_ids_are_reported_not_read(twozone_graph, twozone_partition):
+    foreign = Zone(1, (1, 4, 5, 7), twozone_partition.zone(1).segments | {"X|Y"})
+    partition = ZonePartition(
+        twozone_graph,
+        (foreign, twozone_partition.zone(2)),
+        (TransferStation(2, ("D|I",), 2, 1),),
+    )
+    assert validate_partition(partition) == [
+        "zone 1 references unknown WS7",
+        "zone 1 references unknown segment X|Y",
+    ]
