@@ -13,10 +13,10 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import logger
-from .ddz import acceptance_probability, temperature
+from .ddz import SearchResult, acceptance_probability, temperature
 from .errors import InfeasibleStart, OrphanPart
 from .floorgraph import FloorGraph
 from .zoning import (
@@ -30,8 +30,6 @@ from .zoning import (
     validate_partition,
     zone_loads,
 )
-
-FlowSource = Callable[[ZonePartition], Mapping[int, FlowMatrix]]
 
 
 # ── Delivery history ─────────────────────────────────────────────────
@@ -67,21 +65,18 @@ def flow_from_history(
     return flows
 
 
-def history_flow_source(window: PartHistoryWindow) -> FlowSource:
-    return lambda partition: flow_from_history(window, partition)
-
-
 # ── Shared evaluation ────────────────────────────────────────────────
 
 
 def load_spread(
     partition: ZonePartition,
-    flow_source: FlowSource,
+    window: PartHistoryWindow,
     velocity: float,
     handling: HandlingTimes,
 ) -> float:
-    """Population standard deviation of the zone loads."""
-    loads = zone_loads(partition, flow_source(partition), velocity, handling)
+    """Population standard deviation of the zone loads the window's
+    deliveries put on the partition."""
+    loads = zone_loads(partition, flow_from_history(window, partition), velocity, handling)
     return statistics.pstdev(loads.values())
 
 
@@ -215,17 +210,9 @@ def initial_partition(graph: FloorGraph, nz: int) -> ZonePartition:
 # ── Simulated annealing ──────────────────────────────────────────────
 
 
-@dataclass
-class BaselineResult:
-    partition: ZonePartition
-    objective: float
-    progress: list[tuple[int, float]] = field(default_factory=list)
-    # (step, best objective so far) — one row per improvement
-
-
 def sa_optimize(
     graph: FloorGraph,
-    flow_source: FlowSource,
+    window: PartHistoryWindow,
     nz: int,
     schedule,
     rng,
@@ -233,28 +220,29 @@ def sa_optimize(
     handling: HandlingTimes,
     iterations: int = 200,
     start: ZonePartition | None = None,
-    trace: list[dict] | None = None,
-) -> BaselineResult:
+) -> SearchResult:
     """Centralized annealing over tip-workstation transfers between zones.
 
-    Objective is the population standard deviation of zone loads; transfer
-    stations are recomputed after every move. Returns the best design seen.
-    When a trace list is supplied, one record per evaluated proposal is
-    appended with the objective before/after, the acceptance probability,
-    the drawn uniform (None when the move improves), and the decision.
+    Objective is the population standard deviation of the zone loads the
+    window's deliveries put on a design; transfer stations are recomputed
+    after every move. Returns the best design seen. The trace holds one
+    row per evaluated proposal with the objective before/after, the
+    acceptance probability, the drawn uniform (None when the move
+    improves), and the decision.
     """
     current = start if start is not None else initial_partition(graph, nz)
 
     def loads_of(design: ZonePartition) -> dict[int, float]:
-        return zone_loads(design, flow_source(design), velocity, handling)
+        return zone_loads(design, flow_from_history(window, design), velocity, handling)
 
     moves = TipMoves(current, loads_of(current), loads_of)
     obj_cur = statistics.pstdev(moves.loads.values())
     best, obj_best = current, obj_cur
     progress = [(0, obj_best)]
     if nz == 1 or iterations < 1:
-        return BaselineResult(best, obj_best, progress)
+        return SearchResult(best, obj_best, obj_best, 0, progress)
 
+    trace: list[dict] = []
     zone_ids = sorted(z.id for z in current.zones)
     denominator = max(1, iterations - 1)
     for it in range(iterations):
@@ -275,24 +263,23 @@ def sa_optimize(
             p = acceptance_probability(obj_cur - obj_new, schedule.k, t_c)
             draw = rng.random()
             accepted = draw <= p
-        if trace is not None:
-            trace.append(
-                {
-                    "step": it,
-                    "obj_before": obj_cur,
-                    "obj_after": obj_new,
-                    "temperature": t_c,
-                    "p": p,
-                    "draw": draw,
-                    "accepted": accepted,
-                }
-            )
+        trace.append(
+            {
+                "step": it,
+                "obj_before": obj_cur,
+                "obj_after": obj_new,
+                "temperature": t_c,
+                "p": p,
+                "draw": draw,
+                "accepted": accepted,
+            }
+        )
         if accepted:
             moves, obj_cur = TipMoves(candidate, new_loads, loads_of), obj_new
         if obj_new < obj_best:
             best, obj_best = candidate, obj_new
             progress.append((it + 1, obj_best))
-    return BaselineResult(best, obj_best, progress)
+    return SearchResult(best, progress[0][1], obj_best, iterations, progress, trace)
 
 
 # ── Genetic algorithm ────────────────────────────────────────────────
@@ -437,14 +424,14 @@ def decode_genome(
 
 def ga_optimize(
     graph: FloorGraph,
-    flow_source: FlowSource,
+    window: PartHistoryWindow,
     nz: int,
     config: GaConfig,
     rng,
     velocity: float,
     handling: HandlingTimes,
     initial_population: Sequence[tuple[int, ...]] | None = None,
-) -> BaselineResult:
+) -> SearchResult:
     """Evolve workstation-to-zone vectors with tournament selection,
     single-point crossover, per-gene mutation, and elitism.
 
@@ -480,7 +467,7 @@ def ga_optimize(
             if partition is None:
                 cache[genome] = (-math.inf, False)
             else:
-                spread = load_spread(partition, flow_source, velocity, handling)
+                spread = load_spread(partition, window, velocity, handling)
                 cache[genome] = (-spread, True)
         return cache[genome]
 
@@ -523,7 +510,7 @@ def ga_optimize(
         progress.append((config.generations, -best_fit))
     partition = decode_genome(graph, best_genome, nz)
     assert partition is not None
-    return BaselineResult(partition, -best_fit, progress)
+    return SearchResult(partition, progress[0][1], -best_fit, config.generations, progress)
 
 
 # ── Load-sharing dispatch ────────────────────────────────────────────

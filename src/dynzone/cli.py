@@ -22,12 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .baselines import (
-    PartHistoryWindow,
-    ga_optimize,
-    history_flow_source,
-    sa_optimize,
-)
+from .baselines import PartHistoryWindow
 from .datafiles import data_text
 from .errors import (
     DeadlockDetected,
@@ -104,15 +99,15 @@ def _config_hash(data: dict) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
-def _scenario_flow_source(scenario: dict):
-    """Flows implied by a scenario's routes: one loaded trip per route hop,
-    re-attributed per candidate partition (training on the known part mix)."""
+def _scenario_window(scenario: dict) -> PartHistoryWindow:
+    """A history of one loaded trip per route hop of a scenario, so the
+    searches train on the known part mix."""
     window = PartHistoryWindow(window_minutes=float("inf"))
     for pid, (_, route) in enumerate(expand_scenario(scenario), start=1):
         for src, dst in zip(route, route[1:]):
             if src != dst:
                 window.add(pid, src, dst, 0.0)
-    return history_flow_source(window)
+    return window
 
 
 # ── optimize ─────────────────────────────────────────────────────────
@@ -124,18 +119,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     config, _, _ = _read_input(args.config)
     sim_cfg = SimConfig.from_json(config, args.method, args.seed)
 
-    flow_source = _scenario_flow_source(scenario)
-    rng = random.Random(args.seed)
-    if args.method == "sa":
-        result = sa_optimize(
-            graph, flow_source, args.nz, sim_cfg.schedule, rng,
-            sim_cfg.velocity, sim_cfg.handling, iterations=sim_cfg.sa_iterations,
-        )
-    else:
-        result = ga_optimize(
-            graph, flow_source, args.nz, sim_cfg.ga, rng,
-            sim_cfg.velocity, sim_cfg.handling,
-        )
+    result = sim_cfg.centralized_search(
+        graph, _scenario_window(scenario), args.nz, random.Random(args.seed)
+    )
 
     violations = validate_partition(result.partition)
     if violations:
@@ -307,14 +293,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_file(path: Path, parse):
+    """One parsed file of a run directory; a missing or unreadable one (a
+    deadlocked run writes no metrics) is a validation failure naming it."""
+    try:
+        return parse(path.read_text())
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"cannot read {path}: {type(exc).__name__}: {exc}")
+
+
+def _load_run(run_dir: Path) -> tuple[dict, MetricsReport]:
+    """A finished run's manifest and stored metrics."""
+    manifest = _run_file(run_dir / "manifest.json", json.loads)
+    metrics = _run_file(
+        run_dir / "metrics.json", lambda text: MetricsReport.from_json(json.loads(text))
+    )
+    return manifest, metrics
+
+
 def _replay(run_dir: Path) -> int:
     """Recompute metrics from a stored event log and verify they match."""
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.is_file():
-        raise CliError(f"{run_dir} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    events = log_from_jsonl((run_dir / "events.jsonl").read_text())
-    stored = MetricsReport.from_json(json.loads((run_dir / "metrics.json").read_text()))
+    manifest, stored = _load_run(run_dir)
+    events = _run_file(run_dir / "events.jsonl", log_from_jsonl)
     replayed = compute_metrics(
         events, manifest["method"], len(stored.travel_by_robot), stored.total_parts
     )
@@ -332,19 +334,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     scenario_digest = None
     for run_dir in map(Path, args.run_dirs):
-        manifest_path = run_dir / "manifest.json"
-        if not manifest_path.is_file():
-            raise CliError(f"{run_dir} has no manifest.json")
-        manifest = json.loads(manifest_path.read_text())
+        manifest, report = _load_run(run_dir)
         if scenario_digest is None:
             scenario_digest = manifest["scenario_digest"]
         elif manifest["scenario_digest"] != scenario_digest:
             raise CliError(
                 f"{run_dir} was run on a different scenario; refusing to compare"
             )
-        report = MetricsReport.from_json(
-            json.loads((run_dir / "metrics.json").read_text())
-        )
         rows.append((manifest["method"], manifest["seed"], report))
 
     header = (

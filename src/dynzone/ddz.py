@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import NoNeighbors
+from .scheduler import PartTask
 from .zoning import (
     FlowMatrix,
     HandlingTimes,
@@ -132,25 +133,16 @@ class DdzConfig:
             raise ValueError("episodes, iterations, iteration_minutes must be >= 0")
 
 
-@dataclass(frozen=True)
-class QueuedPart:
-    """A part awaiting delivery: where it sits now and where it goes next."""
-
-    part_id: int
-    location: int  # workstation the part is waiting at
-    destination: int  # next processing workstation
-
-
 def queue_flows(
     partition: ZonePartition,
-    tasks: Sequence[QueuedPart],
+    tasks: Sequence[PartTask],
 ) -> dict[int, FlowMatrix]:
     """Per-zone flows from the parts currently waiting, re-queued under the
-    given partition: each part contributes its next delivery leg to the
-    zone serving that leg."""
+    given partition: each part contributes the next delivery leg from its
+    pickup toward its destination to the zone serving that leg."""
     flows: dict[int, FlowMatrix] = {z.id: FlowMatrix() for z in partition.zones}
     for task in tasks:
-        legs = plan_delivery(partition, task.location, task.destination)
+        legs = plan_delivery(partition, task.pickup, task.destination)
         if legs:
             pickup, dropoff, zone_id = legs[0]
             flows[zone_id].add(pickup, dropoff, 1.0)
@@ -159,28 +151,34 @@ def queue_flows(
 
 def fleet_loads(
     partition: ZonePartition,
-    tasks: Sequence[QueuedPart],
+    tasks: Sequence[PartTask],
     velocity: float,
     handling: HandlingTimes,
 ) -> dict[int, float]:
     return zone_loads(partition, queue_flows(partition, tasks), velocity, handling)
 
 
-@dataclass
-class DdzResult:
+@dataclass(frozen=True)
+class SearchResult:
+    """What a repair search (ddz, SA or GA) returns. The objectives score
+    the starting and the returned design: ddz's local load sigma of the
+    origin before and of the last episode's leader after, or SA's and GA's
+    zone-load spread (GA's before is its starting population's best)."""
+
     partition: ZonePartition
-    participants: tuple[int, ...]
-    leaders: tuple[int, ...]
-    sigma_initial: float
-    sigma_final: float
-    iterations_run: int
+    objective_before: float
+    objective: float
+    iterations: int
+    # SA and GA: (step, best objective so far), one row per improvement
+    progress: list[tuple[int, float]] = field(default_factory=list)
+    # ddz and SA: one row per proposal; ddz adds one per episode adoption
     trace: list[dict] = field(default_factory=list)
 
 
 def ddz_optimize(
     partition: ZonePartition,
     links: Mapping[int, Sequence[int]],
-    tasks: Sequence[QueuedPart],
+    tasks: Sequence[PartTask],
     consensus_values: Mapping[int, float],
     origin: int,
     config: DdzConfig,
@@ -188,7 +186,7 @@ def ddz_optimize(
     rng,
     velocity: float,
     handling: HandlingTimes,
-) -> DdzResult:
+) -> SearchResult:
     """Run the leader-rotating annealing search and return the adopted design.
 
     links holds each robot's peers (consensus.comm_graph) among the robots
@@ -198,7 +196,8 @@ def ddz_optimize(
     rng is the run's seeded random stream; every proposal, tip draw, and
     acceptance draw comes from it, so a fixed seed replays bit-identically.
     The trace records one entry per proposal with sigma before/after, the
-    acceptance probability, and the drawn uniform.
+    acceptance probability, and the drawn uniform, and one "episode-adopt"
+    entry per episode naming its leader.
     """
     participants = sorted(propagate_start(origin, links))
     if len(participants) < 2:
@@ -220,19 +219,15 @@ def ddz_optimize(
     moves = TipMoves(partition, loads_of(partition), loads_of, participants)
     sigma_initial = sigma_at(origin, moves.loads)
     trace: list[dict] = []
-    leaders: list[int] = []
     leader = origin
     n_global = 0
-    iterations_run = 0
 
     for episode in range(episodes):
-        leaders.append(leader)
         best = moves
         best_sigma = sigma_at(leader, moves.loads)
         for it in range(iterations):
             n = it if config.temperature_resets_per_episode else n_global
             n_global += 1
-            iterations_run += 1
             loads = moves.loads
             sigma_cur = sigma_at(leader, loads)
             j = rng.choice(links[leader])
@@ -292,12 +287,10 @@ def ddz_optimize(
         )
         leader = participants[(participants.index(leader) + 1) % len(participants)]
 
-    return DdzResult(
+    return SearchResult(
         partition=moves.design,
-        participants=tuple(participants),
-        leaders=tuple(leaders),
-        sigma_initial=sigma_initial,
-        sigma_final=sigma_at(leaders[-1], moves.loads),
-        iterations_run=iterations_run,
+        objective_before=sigma_initial,
+        objective=sigma_at(trace[-1]["leader"], moves.loads),  # the last episode's leader
+        iterations=n_global,
         trace=trace,
     )

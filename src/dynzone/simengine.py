@@ -18,7 +18,7 @@ import json
 from collections import deque
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from . import logger
@@ -26,7 +26,6 @@ from .baselines import (
     GaConfig,
     PartHistoryWindow,
     ga_optimize,
-    history_flow_source,
     initial_partition,
     load_share_dispatch,
     sa_optimize,
@@ -35,7 +34,7 @@ from .consensus import comm_graph, run_consensus
 from .ddz import (
     AnnealingSchedule,
     DdzConfig,
-    QueuedPart,
+    SearchResult,
     ddz_optimize,
     detect_imbalance,
     fleet_loads,
@@ -130,6 +129,24 @@ class SimConfig:
             sa_iterations=data["sa"]["iterations"],
         )
 
+    def centralized_search(
+        self,
+        graph: FloorGraph,
+        window: PartHistoryWindow,
+        nz: int,
+        rng,
+        start: ZonePartition | None = None,
+    ) -> SearchResult:
+        """The configured SA or GA search for an nz-zone design over the
+        window's deliveries. SA anneals from start (default: the initial
+        design); GA ignores start and evolves from the initial design."""
+        if self.method == "sa":
+            return sa_optimize(
+                graph, window, nz, self.schedule, rng, self.velocity, self.handling,
+                iterations=self.sa_iterations, start=start,
+            )
+        return ga_optimize(graph, window, nz, self.ga, rng, self.velocity, self.handling)
+
 
 def expand_scenario(data: Mapping) -> list[tuple[str, tuple[int, ...]]]:
     """Flatten a scenario file into one (type, route) entry per part."""
@@ -190,8 +207,22 @@ class _Robot:
         return (p.x, p.y)
 
 
+@dataclass(frozen=True)
+class _Repair:
+    """A zone repair in progress; its participants pause as they go idle.
+    SA and GA search at once and run load-share deliveries until every
+    robot has paused, then adopt their design; ddz searches once its
+    participants have all paused and adopts its design at ddz-end."""
+
+    origin: int
+    participants: frozenset[int]
+    design: ZonePartition | None = None  # SA and GA: the design to adopt
+    searched: bool = False  # ddz: the search has run
+
+
 class Simulation:
-    """Single deterministic run; see run_simulation for the entry point."""
+    """Single deterministic run: run() returns the event log, from which
+    compute_metrics derives the report."""
 
     def __init__(
         self,
@@ -239,9 +270,7 @@ class Simulation:
         }
         self.latest_x: dict[int, float] = {r: 0.0 for r in self.robots}
         self.balanced = True
-        self.load_share = False
-        # repair: None, or dict with phase "pausing"/"scheduled" plus payload.
-        self.repair: dict | None = None
+        self.repair: _Repair | None = None
         self.events: list[dict] = []
         self._done = 0
         self._heap: list[tuple[float, int, str, tuple]] = []
@@ -320,7 +349,8 @@ class Simulation:
     def _dispatch_part(self, part: _Part, location: int, age_start: float) -> None:
         destination = part.route[part.cursor]
         legs = load_share_dispatch(
-            self.partition, location, destination, balanced=not self.load_share
+            self.partition, location, destination,
+            balanced=self.repair is None or self.repair.design is None,
         )
         if not legs:
             # Degenerate hop: the next processing step is right here.
@@ -336,7 +366,8 @@ class Simulation:
         robot = self.robots[robot_id]
         if robot.paused or robot.queue.selected is not None:
             return
-        if self.repair is not None and self._must_pause(robot_id):
+        repair = self.repair
+        if repair is not None and not repair.searched and robot_id in repair.participants:
             robot.paused = True
             self._check_repair_ready()
             return
@@ -348,7 +379,7 @@ class Simulation:
         approach = self.graph.shortest_path_points(
             robot.point, {self.graph.anchor_of(task.pickup)}
         )
-        if self.load_share:
+        if repair is not None and repair.design is not None:  # load-share delivery
             leg = self.graph.shortest_path(task.pickup, task.dropoff)
         else:
             try:
@@ -395,14 +426,12 @@ class Simulation:
 
     # ── Balance monitoring and repair ────────────────────────────────
 
-    def _queued_tasks(self) -> list[QueuedPart]:
+    def _queued_tasks(self) -> list[PartTask]:
         tasks = []
         for robot in self.robots.values():
-            for t in robot.queue.pending:
-                tasks.append(QueuedPart(t.part_id, t.pickup, t.destination))
+            tasks.extend(robot.queue.pending)
             if robot.queue.selected is not None:
-                t = robot.queue.selected
-                tasks.append(QueuedPart(t.part_id, t.pickup, t.destination))
+                tasks.append(robot.queue.selected)
         return tasks
 
     def _on_consensus(self) -> None:
@@ -454,27 +483,14 @@ class Simulation:
                 self._log("repair-rejected", reason="origin robot has no neighbors")
                 self.history[origin].clear()
                 return
-            self.repair = {"phase": "pausing", "origin": origin,
-                           "participants": participants}
+            self.repair = _Repair(origin, participants)
         else:
-            self.load_share = True
             self._log("load-share", active=True)
-            source = history_flow_source(self.window)
-            if cfg.method == "sa":
-                result = sa_optimize(
-                    self.graph, source, cfg.n_robots, cfg.schedule, self.rng,
-                    cfg.velocity, cfg.handling, iterations=cfg.sa_iterations,
-                    start=self.partition,
-                )
-            else:
-                result = ga_optimize(
-                    self.graph, source, cfg.n_robots, cfg.ga, self.rng,
-                    cfg.velocity, cfg.handling,
-                )
-            self.repair = {"phase": "pausing", "origin": origin,
-                           "participants": frozenset(self.robots),
-                           "partition": result.partition}
-        for r in sorted(self.repair["participants"]):
+            result = cfg.centralized_search(
+                self.graph, self.window, cfg.n_robots, self.rng, start=self.partition
+            )
+            self.repair = _Repair(origin, frozenset(self.robots), result.partition)
+        for r in sorted(self.repair.participants):
             if self.robots[r].queue.selected is None and not self.robots[r].paused:
                 self.robots[r].paused = True
         self._check_repair_ready()
@@ -484,34 +500,25 @@ class Simulation:
         at = {r: self.robots[r].position_at(self.now, self.graph) for r in robot_ids}
         return comm_graph(at, self.config.comm_range)
 
-    def _must_pause(self, robot_id: int) -> bool:
-        return (
-            self.repair is not None
-            and self.repair["phase"] == "pausing"
-            and robot_id in self.repair["participants"]
-        )
-
     def _check_repair_ready(self) -> None:
-        if self.repair is None or self.repair["phase"] != "pausing":
+        repair = self.repair
+        if repair is None or repair.searched:
             return
-        if any(
-            not self.robots[r].paused for r in self.repair["participants"]
-        ):
+        if any(not self.robots[r].paused for r in repair.participants):
+            return
+        if repair.design is not None:
+            self._apply_repair(repair.design)
             return
         cfg = self.config
-        if cfg.method != "ddz":
-            self._apply_repair(self.repair["partition"])
-            return
-        origin = self.repair["origin"]
-        self._log("ddz-start", origin=origin,
-                  participants=sorted(self.repair["participants"]))
+        self._log("ddz-start", origin=repair.origin,
+                  participants=sorted(repair.participants))
         try:
             result = ddz_optimize(
                 self.partition,
-                self._links(self.repair["participants"]),
+                self._links(repair.participants),
                 self._queued_tasks(),
                 dict(self.latest_x),
-                origin,
+                repair.origin,
                 cfg.ddz,
                 cfg.schedule,
                 self.rng,
@@ -522,8 +529,8 @@ class Simulation:
             self._log("repair-rejected", reason="origin robot has no neighbors")
             self._finish_repair()
             return
-        pause = result.iterations_run * cfg.ddz.iteration_minutes
-        self.repair["phase"] = "scheduled"
+        pause = result.iterations * cfg.ddz.iteration_minutes
+        self.repair = replace(repair, searched=True)
         self._schedule(self.now + pause, "ddz-end", result.partition)
 
     def _on_ddz_end(self, partition: ZonePartition) -> None:
@@ -550,7 +557,6 @@ class Simulation:
 
     def _finish_repair(self) -> None:
         self.repair = None
-        self.load_share = False
         for r in sorted(self.robots):
             self.history[r].clear()
             self.robots[r].paused = False
@@ -654,20 +660,6 @@ def compute_metrics(
         std_travel=statistics.pstdev(values),
         throughput=throughput,
     )
-
-
-def run_simulation(
-    graph: FloorGraph,
-    scenario_parts: Sequence[tuple[str, tuple[int, ...]]],
-    config: SimConfig,
-    start: ZonePartition | None = None,
-) -> tuple[list[dict], MetricsReport]:
-    sim = Simulation(graph, scenario_parts, config, start)
-    events = sim.run()
-    report = compute_metrics(
-        events, config.method, config.n_robots, len(scenario_parts)
-    )
-    return events, report
 
 
 def log_to_jsonl(events: Sequence[Mapping]) -> str:

@@ -141,16 +141,12 @@ class ZonePartition:
     def zone_of_ws(self, ws: int) -> int | None:
         return self._zone_of_ws.get(ws)
 
-    def assigned_segments(self) -> frozenset[str]:
-        out: set[str] = set()
-        for z in self.zones:
-            out |= z.segments
-        return frozenset(out)
-
     def unassigned_segments(self) -> frozenset[str]:
         key = ("unassigned",)
         if key not in self._kept:
-            self._kept[key] = frozenset(self.graph.segments) - self.assigned_segments()
+            self._kept[key] = frozenset(self.graph.segments).difference(
+                *(z.segments for z in self.zones)
+            )
         return self._kept[key]
 
     def stations_of_zone(self, zone_id: int) -> tuple[int, ...]:

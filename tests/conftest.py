@@ -5,6 +5,7 @@ import operator
 import pytest
 
 from dynzone.floorgraph import JUNCTION, WS_ANCHOR, CriticalPoint, FloorGraph, Workstation
+from dynzone.simengine import Simulation, compute_metrics
 from dynzone.zoning import Zone, ZonePartition
 
 
@@ -18,6 +19,12 @@ def allclose(actual, expected, rtol=1e-5, atol=1e-8):
     return len(actual) == len(expected) and all(
         abs(a - b) <= atol + rtol * abs(b) for a, b in zip(actual, expected)
     )
+
+
+def run_simulation(graph, scenario_parts, config, start=None):
+    """One run as `dynzone simulate` makes it: (event log, metrics report)."""
+    events = Simulation(graph, scenario_parts, config, start).run()
+    return events, compute_metrics(events, config.method, config.n_robots, len(scenario_parts))
 
 
 def build_graph(points, segments, workstations, threshold):

@@ -20,13 +20,12 @@ from dynzone.baselines import (
     GaConfig,
     PartHistoryWindow,
     ga_optimize,
-    history_flow_source,
     load_spread,
     sa_optimize,
 )
 from dynzone.consensus import comm_graph, metropolis_weights, run_consensus
 from dynzone.datafiles import load_config, load_layout, load_scenario
-from dynzone.ddz import AnnealingSchedule, DdzConfig, QueuedPart, ddz_optimize, fleet_loads, temperature
+from dynzone.ddz import AnnealingSchedule, DdzConfig, ddz_optimize, fleet_loads, temperature
 from dynzone.floorgraph import WS_ANCHOR, CriticalPoint, FloorGraph, Workstation
 from dynzone.scheduler import PartTask, RobotQueue, score_and_rank, select_next
 from dynzone.simengine import (
@@ -36,7 +35,6 @@ from dynzone.simengine import (
     expand_scenario,
     log_from_jsonl,
     log_to_jsonl,
-    run_simulation,
 )
 from dynzone.zoning import (
     HandlingTimes,
@@ -47,7 +45,7 @@ from dynzone.zoning import (
     validate_partition,
     zone_load,
 )
-from tests.conftest import allclose, mix
+from tests.conftest import allclose, mix, run_simulation
 
 SEEDS = (1, 2, 3, 4, 5)
 METHODS = ("sa", "ga", "ddz")
@@ -283,11 +281,11 @@ def three_zones(dumbbell):
 SYMMETRIC_DELIVERIES = [(1, 2), (2, 1), (2, 3), (5, 4), (6, 5), (5, 6)]
 
 
-def _symmetric_source(graph):
+def _symmetric_window(graph):
     window = PartHistoryWindow()
     for i, (src, dst) in enumerate(SYMMETRIC_DELIVERIES):
         window.add(i, src, dst, 0.0)
-    return history_flow_source(window)
+    return window
 
 
 def _ddz_run(graph, partition, tasks, seed, k, episodes=0, iterations=0):
@@ -303,10 +301,10 @@ def _ddz_run(graph, partition, tasks, seed, k, episodes=0, iterations=0):
 
 
 def test_criterion_05_annealing_sanity(dumbbell, three_zones):
-    tasks = [QueuedPart(i, 1, 2) for i in range(8)] + [
-        QueuedPart(100, 5, 6), QueuedPart(101, 2, 1)
+    tasks = [PartTask(i, 1, 2, 2, 0.0) for i in range(8)] + [
+        PartTask(100, 5, 6, 6, 0.0), PartTask(101, 2, 1, 1, 0.0)
     ]
-    source = _symmetric_source(dumbbell)
+    window = _symmetric_window(dumbbell)
     schedule = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=30)
 
     # Best objective never rises, at normal temperature weighting.
@@ -315,7 +313,7 @@ def test_criterion_05_annealing_sanity(dumbbell, three_zones):
         adopts = [e["sigma"] for e in result.trace if e["kind"] == "episode-adopt"]
         assert adopts == sorted(adopts, reverse=True)
         sa = sa_optimize(
-            dumbbell, source, 2, schedule, random.Random(seed), 100.0, HANDLING,
+            dumbbell, window, 2, schedule, random.Random(seed), 100.0, HANDLING,
             iterations=80,
         )
         best = [obj for _, obj in sa.progress]
@@ -334,12 +332,11 @@ def test_criterion_05_annealing_sanity(dumbbell, three_zones):
             proposals += 1
             if e["accepted"]:
                 assert e["sigma_after"] <= e["sigma_before"] + 1e-12
-        trace: list[dict] = []
-        sa_optimize(
-            dumbbell, source, 2, frozen, random.Random(seed), 100.0, HANDLING,
-            iterations=1200, trace=trace,
+        sa = sa_optimize(
+            dumbbell, window, 2, frozen, random.Random(seed), 100.0, HANDLING,
+            iterations=1200,
         )
-        for e in trace:
+        for e in sa.trace:
             proposals += 1
             if e["accepted"]:
                 assert e["obj_after"] <= e["obj_before"] + 1e-12
@@ -348,7 +345,7 @@ def test_criterion_05_annealing_sanity(dumbbell, three_zones):
 
 
 def test_criterion_06_toy_scale_optimality(dumbbell):
-    source = _symmetric_source(dumbbell)
+    window = _symmetric_window(dumbbell)
     # exhaustive enumeration of every connected 2-partition of the chain
     def chain_partition(split):
         left = tuple(range(1, split + 1))
@@ -361,7 +358,7 @@ def test_criterion_06_toy_scale_optimality(dumbbell):
         return assign_transfer_stations(ZonePartition(dumbbell, zones))
 
     optimum = min(
-        load_spread(chain_partition(s), source, 100.0, HANDLING)
+        load_spread(chain_partition(s), window, 100.0, HANDLING)
         for s in range(1, 6)
     )
     schedule = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=30)
@@ -369,12 +366,12 @@ def test_criterion_06_toy_scale_optimality(dumbbell):
     sa_hits = ga_hits = 0
     for seed in range(20):
         sa = sa_optimize(
-            dumbbell, source, 2, schedule, random.Random(seed), 100.0, HANDLING,
+            dumbbell, window, 2, schedule, random.Random(seed), 100.0, HANDLING,
             iterations=120,
         )
         sa_hits += sa.objective == pytest.approx(optimum, rel=1e-9)
         ga = ga_optimize(
-            dumbbell, source, 2, ga_cfg, random.Random(seed), 100.0, HANDLING
+            dumbbell, window, 2, ga_cfg, random.Random(seed), 100.0, HANDLING
         )
         ga_hits += ga.objective == pytest.approx(optimum, rel=1e-9)
     assert sa_hits >= 19, f"sa found the optimum in only {sa_hits}/20 runs"

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 
 from dynzone import baselines, floorgraph
 from dynzone.baselines import (
-    BaselineResult,
     GaConfig,
     PartHistoryWindow,
     decode_genome,
     flow_from_history,
     ga_optimize,
     genome_of,
-    history_flow_source,
     initial_partition,
     load_share_dispatch,
     load_spread,
@@ -76,16 +74,16 @@ def _chain_partition(dumbbell, split):
 SYMMETRIC_DELIVERIES = [(1, 2), (2, 1), (2, 3), (5, 4), (6, 5), (5, 6)]
 
 
-def _symmetric_source(dumbbell):
+def _symmetric_window(dumbbell):
     window = PartHistoryWindow()
     for i, (src, dst) in enumerate(SYMMETRIC_DELIVERIES):
         window.add(i, src, dst, 0.0)
-    return history_flow_source(window)
+    return window
 
 
-def _enumerated_optimum(dumbbell, source):
+def _enumerated_optimum(dumbbell, window):
     spreads = {
-        split: load_spread(_chain_partition(dumbbell, split), source, V, HANDLING)
+        split: load_spread(_chain_partition(dumbbell, split), window, V, HANDLING)
         for split in range(1, 6)
     }
     return min(spreads.values()), spreads
@@ -314,35 +312,35 @@ SCHEDULE = AnnealingSchedule(t_initial=5.0, t_freeze=0.05, reductions=60, k=1.0)
 
 
 def test_sa_single_zone_trivial(dumbbell):
-    source = _symmetric_source(dumbbell)
-    res = sa_optimize(dumbbell, source, 1, SCHEDULE, random.Random(0), V, HANDLING)
+    window = _symmetric_window(dumbbell)
+    res = sa_optimize(dumbbell, window, 1, SCHEDULE, random.Random(0), V, HANDLING)
     assert res.objective == 0.0
     assert len(res.partition.zones) == 1
 
 
 def test_sa_reaches_symmetric_optimum(dumbbell):
-    source = _symmetric_source(dumbbell)
-    optimum, _ = _enumerated_optimum(dumbbell, source)
+    window = _symmetric_window(dumbbell)
+    optimum, _ = _enumerated_optimum(dumbbell, window)
     res = sa_optimize(
-        dumbbell, source, 2, SCHEDULE, random.Random(7), V, HANDLING, iterations=120
+        dumbbell, window, 2, SCHEDULE, random.Random(7), V, HANDLING, iterations=120
     )
     assert res.objective == pytest.approx(optimum, abs=1e-6)
     assert validate_partition(res.partition) == []
 
 
 def test_sa_progress_non_increasing(dumbbell):
-    source = _symmetric_source(dumbbell)
+    window = _symmetric_window(dumbbell)
     res = sa_optimize(
-        dumbbell, source, 2, SCHEDULE, random.Random(3), V, HANDLING, iterations=80
+        dumbbell, window, 2, SCHEDULE, random.Random(3), V, HANDLING, iterations=80
     )
     values = [obj for _, obj in res.progress]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_sa_deterministic(dumbbell):
-    source = _symmetric_source(dumbbell)
-    a = sa_optimize(dumbbell, source, 2, SCHEDULE, random.Random(5), V, HANDLING, 60)
-    b = sa_optimize(dumbbell, source, 2, SCHEDULE, random.Random(5), V, HANDLING, 60)
+    window = _symmetric_window(dumbbell)
+    a = sa_optimize(dumbbell, window, 2, SCHEDULE, random.Random(5), V, HANDLING, 60)
+    b = sa_optimize(dumbbell, window, 2, SCHEDULE, random.Random(5), V, HANDLING, 60)
     assert a.partition == b.partition
     assert a.objective == b.objective
     assert a.progress == b.progress
@@ -352,19 +350,19 @@ def test_sa_deterministic(dumbbell):
 
 
 def test_ga_single_zone_trivial(dumbbell):
-    source = _symmetric_source(dumbbell)
+    window = _symmetric_window(dumbbell)
     config = GaConfig(population=4, generations=3)
-    res = ga_optimize(dumbbell, source, 1, config, random.Random(0), V, HANDLING)
+    res = ga_optimize(dumbbell, window, 1, config, random.Random(0), V, HANDLING)
     assert res.objective == 0.0
 
 
 def test_ga_no_variation_returns_input_genome(dumbbell):
-    source = _symmetric_source(dumbbell)
+    window = _symmetric_window(dumbbell)
     genome = (1, 1, 1, 1, 2, 2)
     config = GaConfig(population=4, generations=5, crossover=1.0, mutation=0.0)
     res = ga_optimize(
         dumbbell,
-        source,
+        window,
         2,
         config,
         random.Random(0),
@@ -376,19 +374,19 @@ def test_ga_no_variation_returns_input_genome(dumbbell):
 
 
 def test_ga_matches_enumerated_optimum(dumbbell):
-    source = _symmetric_source(dumbbell)
-    optimum, _ = _enumerated_optimum(dumbbell, source)
+    window = _symmetric_window(dumbbell)
+    optimum, _ = _enumerated_optimum(dumbbell, window)
     config = GaConfig(population=16, generations=25, mutation=0.2)
-    res = ga_optimize(dumbbell, source, 2, config, random.Random(1), V, HANDLING)
+    res = ga_optimize(dumbbell, window, 2, config, random.Random(1), V, HANDLING)
     assert res.objective == pytest.approx(optimum, abs=1e-6)
     assert validate_partition(res.partition) == []
 
 
 def test_ga_deterministic(dumbbell):
-    source = _symmetric_source(dumbbell)
+    window = _symmetric_window(dumbbell)
     config = GaConfig(population=8, generations=8)
-    a = ga_optimize(dumbbell, source, 2, config, random.Random(9), V, HANDLING)
-    b = ga_optimize(dumbbell, source, 2, config, random.Random(9), V, HANDLING)
+    a = ga_optimize(dumbbell, window, 2, config, random.Random(9), V, HANDLING)
+    b = ga_optimize(dumbbell, window, 2, config, random.Random(9), V, HANDLING)
     assert a.partition == b.partition and a.objective == b.objective
 
 

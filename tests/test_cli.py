@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -105,6 +106,61 @@ def test_unknown_input_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["sa", "ga"])
+def test_optimize_and_repairs_share_one_search_call(tmp_path, toy_scenario, monkeypatch, method):
+    """`dynzone optimize` and a simulation's SA/GA repair both reach the one
+    SimConfig.centralized_search, which passes the config's schedule,
+    sa.iterations and ga values on."""
+    from dynzone import simengine
+    from dynzone.simengine import SimConfig, Simulation
+
+    config = json.loads(data_text("config_default"))
+    config["schedule"] = {"t_initial": 3.0, "t_freeze": 0.3, "reductions": 7, "k": 2.0}
+    config["sa"] = {"iterations": 9}
+    config["ga"] = {"population": 4, "generations": 2, "crossover": 0.5,
+                    "mutation": 0.3, "elitism": 1}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    cfg = SimConfig.from_json(config, method, 0)
+
+    searches, calls = [], []
+    search = SimConfig.centralized_search
+    monkeypatch.setattr(
+        SimConfig, "centralized_search",
+        lambda self, *a, **kw: searches.append(self.method) or search(self, *a, **kw),
+    )
+    for name in ("sa_optimize", "ga_optimize"):
+        real = getattr(simengine, name)
+
+        def spy(*args, real=real, **kwargs):
+            calls.append((real.__name__, inspect.signature(real).bind(*args, **kwargs).arguments))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simengine, name, spy)
+
+    assert main(
+        ["optimize", "--layout", "dumbbell", "--scenario", toy_scenario,
+         "--config", str(config_path), "--method", method, "--nz", "2",
+         "--out", str(tmp_path / "p.json")]
+    ) == 0
+    sim = Simulation(load_layout("dumbbell"), [], cfg)
+    start = sim.partition
+    sim._start_repair(1)
+    assert searches == [method, method]
+    assert [name for name, _ in calls] == [f"{method}_optimize"] * 2
+    for (_, bound), nz in zip(calls, (2, cfg.n_robots)):
+        assert bound["nz"] == nz
+        if method == "sa":
+            assert bound["schedule"] == cfg.schedule != SimConfig().schedule
+            assert bound["iterations"] == 9
+        else:
+            assert bound["config"] == cfg.ga != SimConfig().ga
+            # GA ignores the simulation's design: it evolves from the initial one.
+            assert set(bound) == {"graph", "window", "nz", "config", "rng", "velocity", "handling"}
+    if method == "sa":
+        assert calls[0][1].get("start") is None and calls[1][1]["start"] is start
+
+
 # ── simulate ─────────────────────────────────────────────────────────
 
 
@@ -199,15 +255,18 @@ def test_simulate_partition_of_another_layout_exits_2(tmp_path, capsys):
     assert not (run / "manifest.json").exists()
 
 
-def test_simulate_deadlock_exit_4(tmp_path, toy_scenario, monkeypatch, capsys):
+class Boom:
+    """A simulation that deadlocks after its first event."""
+
+    def __init__(self, *a, **kw):
+        self.events = [{"t": 0.0, "kind": "arrival", "part": 1}]
+
+    def run(self):
+        raise DeadlockDetected("stuck")
+
+
+def _deadlocked_run(tmp_path, toy_scenario, monkeypatch):
     import dynzone.cli as cli_mod
-
-    class Boom:
-        def __init__(self, *a, **kw):
-            self.events = [{"t": 0.0, "kind": "arrival", "part": 1}]
-
-        def run(self):
-            raise DeadlockDetected("stuck")
 
     monkeypatch.setattr(cli_mod, "Simulation", Boom)
     run = tmp_path / "run"
@@ -216,9 +275,54 @@ def test_simulate_deadlock_exit_4(tmp_path, toy_scenario, monkeypatch, capsys):
          "--method", "sa", "--seed", "0", "--out", str(run)]
     )
     assert code == 4
+    return run
+
+
+def test_simulate_deadlock_exit_4(tmp_path, toy_scenario, monkeypatch, capsys):
+    run = _deadlocked_run(tmp_path, toy_scenario, monkeypatch)
     err = capsys.readouterr().err
     assert str(run / "events.jsonl") in err
     assert (run / "events.jsonl").read_text().strip()
+
+
+@pytest.mark.parametrize(
+    "command", [["report"], ["simulate", "--replay"]], ids=["report", "replay"]
+)
+def test_deadlocked_run_is_refused_on_one_line(
+    tmp_path, toy_scenario, monkeypatch, capsys, command
+):
+    """A deadlocked run leaves a manifest and a partial event log but no
+    metrics; report and replay name the missing file and exit 2."""
+    run = _deadlocked_run(tmp_path, toy_scenario, monkeypatch)
+    assert (run / "manifest.json").is_file() and not (run / "metrics.json").exists()
+    capsys.readouterr()
+    assert main(command + [str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot read {run / 'metrics.json'}: No such file or directory"
+    ]
+
+
+def test_unreadable_run_files_are_named(tmp_path, toy_scenario, capsys):
+    run = tmp_path / "run"
+    assert main(
+        ["simulate", "--layout", "dumbbell", "--scenario", toy_scenario,
+         "--method", "sa", "--seed", "4", "--out", str(run)]
+    ) == 0
+    (run / "events.jsonl").write_text("{not json\n")
+    capsys.readouterr()
+    assert main(["report", str(run)]) == 0  # report reads no events
+    capsys.readouterr()
+    assert main(["simulate", "--replay", str(run)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {run / 'events.jsonl'}: ")
+    (run / "manifest.json").unlink()
+    for command in (["report"], ["simulate", "--replay"]):
+        assert main(command + [str(run)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read {run / 'manifest.json'}: No such file or directory"
+        ]
 
 
 # ── replay ───────────────────────────────────────────────────────────

@@ -10,7 +10,6 @@ from dynzone.datafiles import load_layout
 from dynzone.ddz import (
     AnnealingSchedule,
     DdzConfig,
-    QueuedPart,
     ddz_optimize,
     detect_imbalance,
     fleet_loads,
@@ -20,6 +19,7 @@ from dynzone.ddz import (
     temperature,
 )
 from dynzone.errors import NoNeighbors
+from dynzone.scheduler import PartTask
 from dynzone.zoning import (
     HandlingTimes,
     Zone,
@@ -146,7 +146,7 @@ def test_robots_exactly_in_range_hear_the_start_signal():
 
 
 def test_queue_flows_first_leg_only(dumbbell, three_zones):
-    tasks = [QueuedPart(1, 1, 2), QueuedPart(2, 2, 5)]
+    tasks = [PartTask(1, 1, 2, 2, 0.0), PartTask(2, 2, 5, 5, 0.0)]
     flows = queue_flows(three_zones, tasks)
     assert flows[1].get(1, 2) == 1.0
     # Cross-zone part contributes only its next leg, up to the hand-off.
@@ -181,24 +181,28 @@ def _run(graph, partition, tasks, seed, episodes=0, iterations=0, k=1.0,
     )
 
 
+def _leaders(result):
+    return [e["leader"] for e in result.trace if e["kind"] == "episode-adopt"]
+
+
 def test_balanced_start_keeps_initial_design(dumbbell, three_zones):
     result = _run(dumbbell, three_zones, tasks=[], seed=3)
-    assert result.sigma_initial == 0.0
-    assert result.sigma_final == 0.0
+    assert result.objective_before == 0.0
+    assert result.objective == 0.0
     assert result.partition.zone(1).workstations == (1, 2)
     assert validate_partition(result.partition) == []
 
 
 def test_unbalanced_fleet_improves_sigma(dumbbell, three_zones):
-    tasks = [QueuedPart(i, 1, 2) for i in range(8)] + [QueuedPart(100, 2, 1)]
+    tasks = [PartTask(i, 1, 2, 2, 0.0) for i in range(8)] + [PartTask(100, 2, 1, 1, 0.0)]
     for seed in (0, 1, 2):
         result = _run(dumbbell, three_zones, tasks, seed=seed)
-        assert result.sigma_final <= result.sigma_initial + 1e-9
+        assert result.objective <= result.objective_before + 1e-9
         assert validate_partition(result.partition) == []
 
 
 def test_best_sigma_non_increasing_within_episode(dumbbell, three_zones):
-    tasks = [QueuedPart(i, 1, 2) for i in range(8)]
+    tasks = [PartTask(i, 1, 2, 2, 0.0) for i in range(8)]
     result = _run(dumbbell, three_zones, tasks, seed=5)
     best = math.inf
     episode = -1
@@ -213,7 +217,7 @@ def test_best_sigma_non_increasing_within_episode(dumbbell, three_zones):
 
 
 def test_acceptance_probability_bounds(dumbbell, three_zones):
-    tasks = [QueuedPart(i, 1, 2) for i in range(8)]
+    tasks = [PartTask(i, 1, 2, 2, 0.0) for i in range(8)]
     result = _run(dumbbell, three_zones, tasks, seed=9)
     for entry in result.trace:
         if entry["kind"] != "proposal":
@@ -224,7 +228,7 @@ def test_acceptance_probability_bounds(dumbbell, three_zones):
 
 
 def test_hill_climb_limit_rejects_worsening(dumbbell, three_zones):
-    tasks = [QueuedPart(i, 1, 2) for i in range(8)] + [QueuedPart(100, 5, 6)]
+    tasks = [PartTask(i, 1, 2, 2, 0.0) for i in range(8)] + [PartTask(100, 5, 6, 6, 0.0)]
     worsening = []
     for seed in range(10):
         result = _run(dumbbell, three_zones, tasks, seed=seed, k=1e-300)
@@ -238,7 +242,7 @@ def test_hill_climb_limit_rejects_worsening(dumbbell, three_zones):
 
 
 def test_seeded_runs_are_bit_identical(dumbbell, three_zones):
-    tasks = [QueuedPart(i, 1, 2) for i in range(6)]
+    tasks = [PartTask(i, 1, 2, 2, 0.0) for i in range(6)]
     a = _run(dumbbell, three_zones, tasks, seed=42)
     b = _run(dumbbell, three_zones, tasks, seed=42)
     assert a.trace == b.trace
@@ -265,11 +269,11 @@ def test_no_neighbors_raises(dumbbell, three_zones):
 
 def test_leader_rotation_round_robin(dumbbell, three_zones):
     result = _run(dumbbell, three_zones, [], seed=0)
-    assert result.leaders == (1, 2, 3)
+    assert _leaders(result) == [1, 2, 3]
 
 
 def test_robots_exactly_in_range_search_together(dumbbell, three_zones):
-    tasks = [QueuedPart(i, 1, 2) for i in range(8)]
+    tasks = [PartTask(i, 1, 2, 2, 0.0) for i in range(8)]
     result = _run(dumbbell, three_zones, tasks, seed=0, links=comm_graph(BOUNDARY, 250.0))
-    assert result.participants == (1, 2)
+    assert _leaders(result) == [1, 2]  # one episode per participant
     assert {e["receiver"] for e in result.trace if "receiver" in e} <= {1, 2}

@@ -16,15 +16,11 @@ from collections import Counter
 import pytest
 
 from dynzone import zoning
-from dynzone.baselines import (
-    PartHistoryWindow,
-    history_flow_source,
-    initial_partition,
-    sa_optimize,
-)
+from dynzone.baselines import PartHistoryWindow, initial_partition, sa_optimize
 from dynzone.consensus import comm_graph
 from dynzone.datafiles import load_layout, load_scenario
-from dynzone.ddz import AnnealingSchedule, DdzConfig, QueuedPart, ddz_optimize, fleet_loads
+from dynzone.ddz import AnnealingSchedule, DdzConfig, ddz_optimize, fleet_loads
+from dynzone.scheduler import PartTask
 from dynzone.simengine import expand_scenario
 from dynzone.zoning import HandlingTimes, partition_to_json
 
@@ -46,16 +42,18 @@ def _legs():
     return legs
 
 
-def _history_source(graph, stride):
+def _history(stride):
     window = PartHistoryWindow()
     for part, src, dst in _legs()[::stride]:
         window.add(part, src, dst, 0.0)
-    return history_flow_source(window)
+    return window
 
 
 def _queued(stride):
     """One queued part per kept leg, waiting at the leg's pickup station."""
-    return [QueuedPart(i, src, dst) for i, (_, src, dst) in enumerate(_legs()[::stride])]
+    return [
+        PartTask(i, src, dst, dst, 0.0) for i, (_, src, dst) in enumerate(_legs()[::stride])
+    ]
 
 
 def _digest(*values) -> str:
@@ -64,12 +62,10 @@ def _digest(*values) -> str:
 
 
 def _sa(graph, seed, stride=7):
-    trace: list[dict] = []
-    result = sa_optimize(
-        graph, _history_source(graph, stride), 3, SCHEDULE, random.Random(seed),
-        VELOCITY, HANDLING, iterations=120, trace=trace,
+    return sa_optimize(
+        graph, _history(stride), 3, SCHEDULE, random.Random(seed),
+        VELOCITY, HANDLING, iterations=120,
     )
-    return result, trace
 
 
 def _ddz(graph, seed, stride=3):
@@ -94,9 +90,9 @@ DDZ_DIGESTS = {1: "d8bc78fbe38d844b", 2: "3b5b3bdc5caf00bc", 3: "1fbd9587b30aa1b
 
 @pytest.mark.parametrize("seed", sorted(SA_DIGESTS))
 def test_sa_proposal_trace_pinned(layout18, seed):
-    result, trace = _sa(layout18, seed)
+    result = _sa(layout18, seed)
     digest = _digest(
-        trace, result.objective, result.progress, partition_to_json(result.partition)
+        result.trace, result.objective, result.progress, partition_to_json(result.partition)
     )
     assert digest == SA_DIGESTS[seed]
 
@@ -104,9 +100,10 @@ def test_sa_proposal_trace_pinned(layout18, seed):
 @pytest.mark.parametrize("seed", sorted(DDZ_DIGESTS))
 def test_ddz_proposal_trace_pinned(layout18, seed):
     result = _ddz(layout18, seed)
+    leaders = [e["leader"] for e in result.trace if e["kind"] == "episode-adopt"]
     digest = _digest(
-        result.trace, result.sigma_initial, result.sigma_final, result.leaders,
-        result.iterations_run, partition_to_json(result.partition),
+        result.trace, result.objective_before, result.objective, leaders,
+        result.iterations, partition_to_json(result.partition),
     )
     assert digest == DDZ_DIGESTS[seed]
 
@@ -133,7 +130,7 @@ def _repeats(calls) -> int:
 @pytest.mark.parametrize("seed", [1, 2])
 def test_sa_builds_each_move_once_per_design(layout18, monkeypatch, seed):
     calls = _count_moves(monkeypatch)
-    _, trace = _sa(layout18, seed)
+    trace = _sa(layout18, seed).trace
     assert len(trace) > len({id(p) for p, *_ in calls})  # designs are revisited
     assert calls and _repeats(calls) == 0
 

@@ -23,10 +23,9 @@ from dynzone.simengine import (
     expand_scenario,
     log_from_jsonl,
     log_to_jsonl,
-    run_simulation,
 )
 from dynzone.zoning import HandlingTimes, Zone, ZonePartition
-from tests.conftest import grid_layout
+from tests.conftest import grid_layout, run_simulation
 
 
 @pytest.fixture
@@ -101,6 +100,11 @@ def test_config_from_shipped_json():
     assert cfg.comm_range == 250.0
 
 
+def _leaders(result):
+    """The ddz episode leaders: one episode per participant by default."""
+    return [e["leader"] for e in result.trace if e["kind"] == "episode-adopt"]
+
+
 def test_comm_range_has_one_source(desk, monkeypatch):
     """A config built with comm_range=100 floods the repair start signal at
     100 ft both where the simulation starts a repair and inside ddz."""
@@ -113,14 +117,14 @@ def test_comm_range_has_one_source(desk, monkeypatch):
 
     def spy(*args, **kwargs):
         result = ddz_optimize(*args, **kwargs)
-        flooded.append(result.participants)
+        flooded.append(_leaders(result))
         return result
 
     monkeypatch.setattr(simengine, "ddz_optimize", spy)
     sim._start_repair(1)
     start = next(e for e in sim.events if e["kind"] == "ddz-start")
     assert start["participants"] == [1, 2]
-    assert flooded == [(1, 2)]
+    assert flooded == [[1, 2]]
 
 
 def test_ddz_searches_only_the_robots_the_repair_paused(desk, monkeypatch):
@@ -135,7 +139,7 @@ def test_ddz_searches_only_the_robots_the_repair_paused(desk, monkeypatch):
 
     def spy(*args, **kwargs):
         result = ddz_optimize(*args, **kwargs)
-        searched.append((result.participants, sim.robots[3].paused))
+        searched.append((_leaders(result), sim.robots[3].paused))
         return result
 
     monkeypatch.setattr(simengine, "ddz_optimize", spy)
@@ -144,7 +148,7 @@ def test_ddz_searches_only_the_robots_the_repair_paused(desk, monkeypatch):
     sim.robots[3].point = desk.anchor_of(1)
     sim.robots[1].queue.selected = None
     sim._poke(1)  # robot 1 finishes its task and pauses; the search starts
-    assert searched == [((1, 2), False)]
+    assert searched == [([1, 2], False)]
     assert not sim.robots[3].paused
 
 
@@ -323,9 +327,9 @@ def test_runs_with_repairs_do_not_import_logging():
     code = (
         "import sys\n"
         "from dynzone.datafiles import load_config, load_layout\n"
-        "from dynzone.simengine import SimConfig, run_simulation\n"
+        "from dynzone.simengine import SimConfig, Simulation\n"
         "config = SimConfig.from_json(load_config('config_default'), 'ddz', 1)\n"
-        "events, _ = run_simulation(load_layout('layout18'), [('H', (2, 3, 1, 7, 14, 6))] * 16, config)\n"
+        "events = Simulation(load_layout('layout18'), [('H', (2, 3, 1, 7, 14, 6))] * 16, config).run()\n"
         "print(sum(e['kind'] == 'zone-repair-applied' for e in events) > 0, 'logging' in sys.modules)\n"
     )
     out = subprocess.run(

@@ -606,7 +606,6 @@ def _scanned_lookups(graph, p):
             ws: next((z.id for z in p.zones if ws in z.workstations), None)
             for ws in list(graph.workstations) + [999]
         },
-        "assigned": assigned,
         "unassigned": unassigned,
     }
     for zid in ids + [999]:
@@ -653,7 +652,6 @@ def _scanned_lookups(graph, p):
 def _cached_lookups(graph, p, ids):
     out = {
         "zone_of_ws": {ws: p.zone_of_ws(ws) for ws in list(graph.workstations) + [999]},
-        "assigned": p.assigned_segments(),
         "unassigned": p.unassigned_segments(),
     }
     for zid in ids + [999]:
