@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import logging
+import operator
 import os
 import random
 import sys
@@ -304,26 +305,24 @@ def _run_file(path: Path, parse):
         raise CliError(f"cannot read {path}: {type(exc).__name__}: {exc}")
 
 
-def _load_run(run_dir: Path) -> tuple[dict, MetricsReport]:
-    """A finished run's manifest and stored metrics."""
-    manifest = _run_file(run_dir / "manifest.json", json.loads)
-    metrics = _run_file(
-        run_dir / "metrics.json", lambda text: MetricsReport.from_json(json.loads(text))
+def _load_run(run_dir: Path) -> tuple[str, str, int, MetricsReport]:
+    """A finished run's scenario digest, method, seed and stored metrics."""
+    keys = operator.itemgetter("scenario_digest", "method", "seed")
+    return (
+        *_run_file(run_dir / "manifest.json", lambda text: keys(json.loads(text))),
+        _run_file(run_dir / "metrics.json", lambda text: MetricsReport.from_json(json.loads(text))),
     )
-    return manifest, metrics
 
 
 def _replay(run_dir: Path) -> int:
     """Recompute metrics from a stored event log and verify they match."""
-    manifest, stored = _load_run(run_dir)
+    _, method, seed, stored = _load_run(run_dir)
     events = _run_file(run_dir / "events.jsonl", log_from_jsonl)
-    replayed = compute_metrics(
-        events, manifest["method"], len(stored.travel_by_robot), stored.total_parts
-    )
+    replayed = compute_metrics(events, method, len(stored.travel_by_robot), stored.total_parts)
     if replayed.to_json() != stored.to_json():
         raise CliError(f"replay mismatch: recomputed metrics differ from {run_dir}/metrics.json")
     print(f"replay ok: {run_dir} metrics reproduced exactly")
-    print(_summary_line(manifest["method"], manifest["seed"], replayed))
+    print(_summary_line(method, seed, replayed))
     return EXIT_OK
 
 
@@ -334,14 +333,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     scenario_digest = None
     for run_dir in map(Path, args.run_dirs):
-        manifest, report = _load_run(run_dir)
+        digest, method, seed, report = _load_run(run_dir)
         if scenario_digest is None:
-            scenario_digest = manifest["scenario_digest"]
-        elif manifest["scenario_digest"] != scenario_digest:
+            scenario_digest = digest
+        elif digest != scenario_digest:
             raise CliError(
                 f"{run_dir} was run on a different scenario; refusing to compare"
             )
-        rows.append((manifest["method"], manifest["seed"], report))
+        rows.append((method, seed, report))
 
     header = (
         f"{'method':<8}{'seed':>6}{'time (h)':>12}{'in balance':>12}"

@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import left_sum
 from .errors import DimensionMismatch
 
 
@@ -40,7 +41,7 @@ def metropolis_weights(links: Mapping[int, Sequence[int]]) -> list[list[float]]:
         for j in peers:
             w[i][j] = 1.0 / (1.0 + max(len(peers), len(links[j])))
     for i, row in enumerate(w):
-        row[i] = 1.0 - sum(row)
+        row[i] = 1.0 - left_sum(row)
     return w
 
 
@@ -73,11 +74,11 @@ def run_consensus(
     if len(values) != len(links):
         raise DimensionMismatch(f"{len(values)} loads, {len(links)} positions")
     w = metropolis_weights(links)
-    mean = sum(values) / len(values) if values else 0.0
+    mean = left_sum(values) / len(values) if values else 0.0
     spread = max([abs(x - mean) for x in values], default=0.0)
     steps = 0
     while spread >= eps and steps < max_steps:
-        values = [sum(map(operator.mul, row, values)) for row in w]
+        values = [left_sum(map(operator.mul, row, values)) for row in w]
         steps += 1
         spread = max([abs(x - mean) for x in values])
     return ConsensusResult(values, steps, spread, spread < eps)

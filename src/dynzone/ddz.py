@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from . import left_sum
 from .errors import NoNeighbors
 from .scheduler import PartTask
 from .zoning import (
@@ -79,7 +80,7 @@ def load_sigma(
     balanced neighborhood scores zero.
     """
     own = own_load - consensus_value
-    total = own * own + sum((lj - consensus_value) ** 2 for lj in neighbor_loads)
+    total = own * own + left_sum((lj - consensus_value) ** 2 for lj in neighbor_loads)
     return math.sqrt(total / (len(neighbor_loads) + 1))
 
 

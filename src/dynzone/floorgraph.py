@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import LayoutError, NoFeasiblePath, UnknownWorkstation
 
@@ -151,11 +151,10 @@ class FloorGraph:
             self._nbrs[b].append((a, seg.id, seg.length))
         for lst in self._nbrs:
             lst.sort()
-        # Unrestricted single-target paths by (source, target). A miss
-        # settles the source's paths to every workstation anchor at once;
-        # the graph is immutable, so each answer holds for its lifetime.
-        self._anchors = frozenset(anchors)
-        self._free_paths: dict[tuple[str, str], Path | None] = {}
+        # On an exact floor every route length is an exact integer.
+        lengths = [s.length for s in self.segments.values()]
+        self._exact = all(float(x).is_integer() for x in lengths) and math.fsum(lengths) < 2**53
+        self._trees: dict[str, tuple[dict[str, int], dict[str, Path], tuple]] = {}
 
         self._validate_connected()
         for ws in self.workstations.values():
@@ -216,33 +215,30 @@ class FloorGraph:
         """Deterministic Dijkstra from a point to the nearest of a point set.
 
         Restricted to allowed_segments when given. Returns None if every
-        target is unreachable. Equal-length ties resolve to the
-        lexicographically smallest point-id route.
+        target is unreachable; raises LayoutError if the source or a target
+        is not a point. Equal-length ties resolve to the lexicographically
+        smallest point-id route.
 
         With `below`, returns the path only if its distance is < below, and
         None otherwise; the search stops at the bound.
 
-        Unrestricted single-target answers are kept per (source, target): a
-        miss searches once from the source to the target and every
-        workstation anchor, and keeps each path found, which equals the
-        single-target answer (see shortest_paths_to_each).
+        The source's tree answers every unrestricted query and, on an exact
+        floor, a restricted one whose tree answer is at or over the bound or
+        lies within allowed_segments: removing segments never shortens a
+        route, and exact lengths leave no near-tie for it to flip.
         """
-        if source not in self.points:
-            raise LayoutError(f"unknown point {source!r}")
+        self._check_points(source, targets)
         bound = math.inf if below is None else below
-        if source in targets:
-            return Path((), 0.0, (source,)) if 0.0 < bound else None
-        if allowed_segments is not None or len(targets) != 1:
-            return next(iter(self._settle(source, targets, allowed_segments, 1, bound).values()), None)
-        (target,) = targets
-        key = (source, target)
-        if key not in self._free_paths:
-            wanted = self._anchors | targets
-            for end, path in self._settle(source, wanted, None, len(wanted)).items():
-                self._free_paths.setdefault((source, end), path)
-            self._free_paths.setdefault(key, None)
-        path = self._free_paths[key]
-        return path if path is not None and path.distance < bound else None
+        if targets and (allowed_segments is None or self._exact):
+            rank, kept, _ = self._trees.get(source) or self._tree(source)
+            end = min(targets, key=rank.__getitem__) if len(targets) > 1 else next(iter(targets))
+            path = kept.get(end) or self._tree_path(source, end)
+            if path.distance >= bound:
+                return None
+            if allowed_segments is None or allowed_segments.issuperset(path.segments):
+                return path
+        found, route, via, dist = self._settle(source, targets, allowed_segments, 1, bound)
+        return self._path(route[found[0]], via, dist[found[0]]) if found else None
 
     def shortest_paths_to_each(
         self,
@@ -253,24 +249,58 @@ class FloorGraph:
         """Deterministic shortest path from a point to each target, in one search.
 
         Restricted to allowed_segments when given; unreachable targets are
-        absent from the result. Each path equals the one
-        shortest_path_points(source, {target}, allowed_segments) returns.
+        absent. Each path equals shortest_path_points(source, {target},
+        allowed_segments), in settle order, and raises as it does; the tree
+        answers when it holds every target's answer.
         """
-        if source not in self.points:
-            raise LayoutError(f"unknown point {source!r}")
-        return self._settle(source, targets, allowed_segments, len(targets))
+        self._check_points(source, targets)
+        if allowed_segments is None or self._exact:
+            rank, kept, _ = self._trees.get(source) or self._tree(source)
+            ends = sorted(targets, key=rank.__getitem__)
+            paths = {end: kept.get(end) or self._tree_path(source, end) for end in ends}
+            segments = (path.segments for path in paths.values())
+            if allowed_segments is None or all(map(allowed_segments.issuperset, segments)):
+                return paths
+        found, route, via, dist = self._settle(source, targets, allowed_segments, len(targets))
+        return {self._ids[i]: self._path(route[i], via, dist[i]) for i in found}
+
+    def _check_points(self, source: str, targets: set[str] | frozenset[str]) -> None:
+        if source not in self.points or not self.points.keys() >= targets:
+            unknown = next(p for p in (source, *sorted(targets)) if p not in self.points)
+            raise LayoutError(f"unknown point {unknown!r}")
+
+    def _tree(self, source: str) -> tuple[dict[str, int], dict[str, Path], tuple]:
+        """Settle the source's whole unrestricted tree and keep each point's
+        settle position, the Paths answered from the tree so far, and by point
+        index the predecessor (-1 at the source), last segment and distance."""
+        order, route, via, dist = self._settle(source, self.points, None, len(self._ids))
+        pred = [-1 if len(r) == 1 else r[-2] for r in route]
+        rank = {self._ids[i]: k for k, i in enumerate(order)}
+        return self._trees.setdefault(source, (rank, {}, (pred, via, dist)))
+
+    def _tree_path(self, source: str, end: str) -> Path:
+        """The tree's route from source to end, built on first use and kept."""
+        _, kept, (pred, via, dist) = self._trees[source]
+        chain = [self._index[end]]
+        while pred[chain[-1]] >= 0:
+            chain.append(pred[chain[-1]])
+        return kept.setdefault(end, self._path(chain[::-1], via, dist[chain[0]]))
+
+    def _path(self, chain: Sequence[int], via: list[str | None], distance: float) -> Path:
+        return Path(tuple(via[i] for i in chain[1:]), distance, tuple(self._ids[i] for i in chain))
 
     def _settle(
         self,
         source: str,
-        targets: set[str] | frozenset[str],
+        targets: Container[str],
         allowed_segments: set[str] | frozenset[str] | None,
         wanted: int,
         below: float = math.inf,
-    ) -> dict[str, Path]:
-        """Lexicographic Dijkstra that records each target's route as it
-        settles and stops once `wanted` targets have settled, or once it pops
-        a distance of at least `below`.
+    ) -> tuple[list[int], list, list[str | None], list[float | None]]:
+        """Lexicographic Dijkstra that stops once `wanted` targets have settled,
+        or once it pops a distance of at least `below`. Returns the settled
+        targets' indices in order, and per point index its route, last
+        segment and distance.
 
         Targets decide only when the search stops, never the order in which
         points settle, so every recorded route is the one a search for that
@@ -287,7 +317,7 @@ class FloorGraph:
         done = [False] * len(ids)
         dist[start] = 0.0
         route[start] = (start,)
-        found: dict[str, Path] = {}
+        found: list[int] = []
         heap: list[tuple[float, tuple[int, ...]]] = [(0.0, route[start])]
         while heap:
             d, r = heapq.heappop(heap)
@@ -300,7 +330,7 @@ class FloorGraph:
                 continue
             done[cur] = True
             if ids[cur] in targets:
-                found[ids[cur]] = Path(tuple(via[i] for i in r[1:]), d, tuple(ids[i] for i in r))
+                found.append(cur)
                 if len(found) == wanted:
                     break
             for nbr, sid, length in nbrs[cur]:
@@ -322,7 +352,7 @@ class FloorGraph:
                 route[nbr] = nr
                 via[nbr] = sid
                 heapq.heappush(heap, (nd, nr))
-        return found
+        return found, route, via, dist
 
     def shortest_path(
         self,

@@ -21,7 +21,7 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from . import logger
+from . import left_sum, logger
 from .baselines import (
     GaConfig,
     PartHistoryWindow,
@@ -189,7 +189,7 @@ class _Robot:
                 p = graph.points[pts[-1]]
                 return (p.x, p.y)
             if t > t0 and len(pts) > 1:
-                total = sum(
+                total = left_sum(
                     graph.manhattan(a, b) for a, b in zip(pts, pts[1:])
                 )
                 gone = total * (t - t0) / (t1 - t0)
@@ -438,7 +438,7 @@ class Simulation:
         cfg = self.config
         ids = sorted(self.robots)
         loads = fleet_loads(self.partition, self._queued_tasks(), cfg.velocity, cfg.handling)
-        mean = sum(loads.values()) / len(loads)
+        mean = left_sum(loads.values()) / len(loads)
         if cfg.method == "ddz":
             positions = [self.robots[r].position_at(self.now, self.graph) for r in ids]
             res = run_consensus(
@@ -656,7 +656,7 @@ def compute_metrics(
         pct_time_in_balance=pct,
         balance_not_comparable=method == "ddz",
         travel_by_robot=travel,
-        avg_travel=sum(values) / len(values),
+        avg_travel=left_sum(values) / len(values),
         std_travel=statistics.pstdev(values),
         throughput=throughput,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
+from . import left_sum
 from .errors import (
     LayoutError,
     NoFeasiblePath,
@@ -254,7 +255,7 @@ class FlowMatrix:
         return self._f.get((i, j), 0.0)
 
     def total(self) -> float:
-        return sum(self._f.values())
+        return left_sum(self._f.values())
 
     def items(self):
         return self._f.items()
@@ -578,19 +579,17 @@ def zone_load(
     stations = partition.stations_of_zone(zone_id)
 
     # Loaded trips into and out of each station, and between stations, in
-    # one pass; each sum adds its terms in flow insertion order.
-    inflows: dict[int, list[float]] = {i: [] for i in stations}
-    outflows: dict[int, list[float]] = {i: [] for i in stations}
+    # one pass; each sum adds its terms from the left in flow insertion order.
+    inflow: dict[int, float] = dict.fromkeys(stations, 0)
+    outflow: dict[int, float] = dict.fromkeys(stations, 0)
     trips: dict[int, dict[int, float]] = {i: {} for i in stations}  # f[i][j] > 0
     for (src, dst), c in flows.items():
-        if dst in inflows:
-            inflows[dst].append(c)
+        if dst in inflow:
+            inflow[dst] += c
             if src in trips:
                 trips[src][dst] = c
-        if src in outflows:
-            outflows[src].append(c)
-    inflow = {i: sum(cs) for i, cs in inflows.items()}
-    outflow = {i: sum(cs) for i, cs in outflows.items()}
+        if src in outflow:
+            outflow[src] += c
     total = flows.total()
     starts = [j for j, c in outflow.items() if c]  # where empty trips can end
     empty: list[float] = []  # g * d, with g = inflow[i] * outflow[j] / total
@@ -608,7 +607,7 @@ def zone_load(
         loaded.extend(to[j] * row[j] for j in dests)
     if not read_row and stations:
         partition.station_row(zone_id, stations[0])
-    return (sum(empty) + sum(loaded)) / velocity + total * handling.total
+    return (left_sum(empty) + left_sum(loaded)) / velocity + total * handling.total
 
 
 def zone_loads(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import operator
+import random
 
 import pytest
 
@@ -9,9 +11,17 @@ from dynzone.simengine import Simulation, compute_metrics
 from dynzone.zoning import Zone, ZonePartition
 
 
+def left_to_right(values):
+    """Add values one at a time from the left, the order every logged sum uses."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def mix(w, x):
     """One consensus step: the matrix-vector product of rows w and x."""
-    return [sum(map(operator.mul, row, x)) for row in w]
+    return [left_to_right(map(operator.mul, row, x)) for row in w]
 
 
 def allclose(actual, expected, rtol=1e-5, atol=1e-8):
@@ -61,6 +71,32 @@ def grid_layout(rng, cols: int, rows: int, n_stations: int) -> FloorGraph:
         "segments": segments,
         "workstations": workstations,
     })
+
+
+def tie_grid(seed: int, steps=(0.1, 0.2, 0.3, 10.0)) -> FloorGraph:
+    """A junction grid whose aisle lengths mix 10 ft with 0.1-0.3 ft steps.
+
+    Many routes tie in length, some only within floating-point rounding,
+    and point ids such as P10 and P2 sort differently as strings than as
+    numbers. Integer steps give an exact floor with as many ties.
+    """
+    rng = random.Random(seed)
+    cols, rows = 7, 5
+    xs = list(itertools.accumulate(rng.choice(steps) for _ in range(cols)))
+    ys = list(itertools.accumulate(rng.choice(steps) for _ in range(rows)))
+    anchors = set(rng.sample(range(cols * rows), 6))
+    points = [
+        (f"P{r * cols + c}", xs[c], ys[r], WS_ANCHOR if r * cols + c in anchors else JUNCTION)
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    segments = [
+        (f"P{r * cols + c}", f"P{r * cols + c + 1}") for r in range(rows) for c in range(cols - 1)
+    ] + [
+        (f"P{r * cols + c}", f"P{(r + 1) * cols + c}") for r in range(rows - 1) for c in range(cols)
+    ]
+    workstations = [(i + 1, f"P{a}", 1.0) for i, a in enumerate(sorted(anchors))]
+    return build_graph(points, segments, workstations, threshold=30)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from dynzone.zoning import (
     partition_to_json,
     validate_partition,
 )
-from tests.conftest import grid_layout
+from tests.conftest import grid_layout, tie_grid
 
 HANDLING = HandlingTimes(0.25, 0.25)
 V = 100.0
@@ -166,21 +166,26 @@ def test_initial_partition_desk_layout_three_zones():
 
 
 def test_initial_partition_searches_free_paths_once_per_source(monkeypatch):
-    from tests.conftest import grid_layout
-
+    """The build settles one unrestricted tree per source it queries, and
+    on this exact floor the trees answer most of its restricted growth
+    queries: fewer of them search than there are trees."""
     graph = grid_layout(random.Random("seeds-48"), 9, 7, 48)
-    free_sources = []
+    assert graph._exact
+    trees, restricted = [], []
     settle = graph._settle
     monkeypatch.setattr(
         graph,
         "_settle",
         lambda source, targets, allowed, wanted, *rest: (
-            allowed is None and free_sources.append(source)
+            (trees if allowed is None else restricted).append((source, wanted))
         ) or settle(source, targets, allowed, wanted, *rest),
     )
     p = initial_partition(graph, 6)
     assert validate_partition(p) == []
-    assert len(free_sources) == len(set(free_sources)) < len(graph.workstations)
+    sources = [source for source, _ in trees]
+    assert len(sources) == len(set(sources)) < len(graph.workstations)
+    assert {wanted for _, wanted in trees} == {len(graph.points)}
+    assert 0 < len(restricted) < len(trees)
 
 
 def _unbounded_initial_partition(graph, nz):
@@ -246,9 +251,7 @@ def _design_or_infeasible(build, graph, nz):
 @st.composite
 def _floors(draw):
     if draw(st.booleans()):
-        from tests.test_floorgraph import _tie_grid
-
-        return _tie_grid(draw(st.integers(0, 10**6)))
+        return tie_grid(draw(st.integers(0, 10**6)))
     cols, rows = draw(st.integers(3, 8)), draw(st.integers(3, 6))
     stations = draw(st.integers(cols * rows // 3, min(cols * rows, 30)))
     return grid_layout(random.Random(draw(st.integers(0, 10**6))), cols, rows, stations)

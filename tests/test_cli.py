@@ -325,6 +325,25 @@ def test_unreadable_run_files_are_named(tmp_path, toy_scenario, capsys):
         ]
 
 
+@pytest.mark.parametrize(
+    "command", [["report"], ["simulate", "--replay"]], ids=["report", "replay"]
+)
+def test_manifest_without_a_key_is_refused_on_one_line(tmp_path, toy_scenario, capsys, command):
+    run = tmp_path / "run"
+    assert main(
+        ["simulate", "--layout", "dumbbell", "--scenario", toy_scenario,
+         "--method", "sa", "--seed", "4", "--out", str(run)]
+    ) == 0
+    (run / "manifest.json").write_text("{}")
+    capsys.readouterr()
+    assert main(command + [str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot read {run / 'manifest.json'}: KeyError: 'scenario_digest'"
+    ]
+
+
 # ── replay ───────────────────────────────────────────────────────────
 
 

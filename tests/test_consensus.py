@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from dynzone import left_sum
 from dynzone.consensus import comm_graph, metropolis_weights, run_consensus
 from dynzone.errors import DimensionMismatch
-from tests.conftest import allclose, mix
+from tests.conftest import allclose, left_to_right, mix
 
 LINE = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]  # A-B-C at range 10
 TRIANGLE = [(0.0, 0.0), (10.0, 0.0), (5.0, 5.0)]  # complete at range 12
@@ -181,3 +182,14 @@ def test_spread_monotone_on_static_connected_graph():
         assert new_spread <= spread + 1e-12
         spread = new_spread
     assert spread < 1e-6
+
+
+def test_left_sum_adds_strictly_left_to_right():
+    # A compensated sum, as `sum()` is from CPython 3.12 on, gives 1.0 here.
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert left_sum([]) == 0.0
+    rng = random.Random(5)
+    for _ in range(200):
+        values = [rng.uniform(-1e6, 1e6) * 10 ** rng.randint(-12, 12) for _ in range(rng.randint(1, 12))]
+        assert left_sum(values).hex() == float(left_to_right(values)).hex()

@@ -6,11 +6,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynzone.errors import LayoutError, NoFeasiblePath, UnknownWorkstation
 from dynzone.floorgraph import JUNCTION, WS_ANCHOR, FloorGraph
 from tests import reference_dijkstra
-from tests.conftest import build_graph
+from tests.conftest import build_graph, grid_layout, tie_grid
 
 
 def test_identity_path(line_graph):
@@ -178,37 +180,11 @@ def test_roundtrip_json(twozone_graph):
     assert loaded.to_json() == twozone_graph.to_json()
 
 
-def _tie_grid(seed: int) -> FloorGraph:
-    """A junction grid whose aisle lengths mix 10 ft with 0.1-0.3 ft steps.
-
-    Many routes tie in length, some only within floating-point rounding,
-    and point ids such as P10 and P2 sort differently as strings than as
-    numbers.
-    """
-    rng = random.Random(seed)
-    cols, rows = 7, 5
-    xs = list(itertools.accumulate(rng.choice([0.1, 0.2, 0.3, 10.0]) for _ in range(cols)))
-    ys = list(itertools.accumulate(rng.choice([0.1, 0.2, 0.3, 10.0]) for _ in range(rows)))
-    anchors = set(rng.sample(range(cols * rows), 6))
-    points = [
-        (f"P{r * cols + c}", xs[c], ys[r], WS_ANCHOR if r * cols + c in anchors else JUNCTION)
-        for r in range(rows)
-        for c in range(cols)
-    ]
-    segments = [
-        (f"P{r * cols + c}", f"P{r * cols + c + 1}") for r in range(rows) for c in range(cols - 1)
-    ] + [
-        (f"P{r * cols + c}", f"P{(r + 1) * cols + c}") for r in range(rows - 1) for c in range(cols)
-    ]
-    workstations = [(i + 1, f"P{a}", 1.0) for i, a in enumerate(sorted(anchors))]
-    return build_graph(points, segments, workstations, threshold=30)
-
-
 @pytest.mark.parametrize("name", ["layout18", "fig2", "grid-3", "grid-4"])
 def test_searches_match_string_keyed_reference(name):
     from dynzone.datafiles import load_layout
 
-    g = _tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
+    g = tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
     rng = random.Random(name)
     point_ids = sorted(g.points)
     segment_ids = sorted(g.segments)
@@ -233,7 +209,7 @@ def test_searches_match_string_keyed_reference(name):
 def test_paths_to_each_equal_single_target_searches(name):
     from dynzone.datafiles import load_layout
 
-    g = _tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
+    g = tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
     rng = random.Random(f"each-{name}")
     point_ids = sorted(g.points)
     segment_ids = sorted(g.segments)
@@ -257,7 +233,7 @@ def test_kept_free_paths_equal_reference_in_any_order(name):
     or kept, equals the reference, whatever order the pairs come in."""
     from dynzone.datafiles import load_layout
 
-    g = _tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
+    g = tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
     fresh = FloorGraph.from_json(g.to_json())
     anchors = sorted(g.anchor_of(w) for w in g.workstations)
     points = anchors + [p for p in sorted(g.points) if p not in anchors][:1]  # and a junction
@@ -280,7 +256,7 @@ def test_bounded_search_answers_only_below_the_bound(name):
     whether its first search for a source was bounded or not."""
     from dynzone.datafiles import load_layout
 
-    g = _tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
+    g = tie_grid(int(name[5:])) if name.startswith("grid") else load_layout(name)
     rng = random.Random(f"below-{name}")
     point_ids = sorted(g.points)
     segment_ids = sorted(g.segments)
@@ -303,26 +279,143 @@ def test_bounded_search_answers_only_below_the_bound(name):
         assert g.shortest_path_points(source, targets, allowed, below=None) == expect
 
 
-def test_free_path_miss_searches_once_per_source(monkeypatch):
-    g = _tie_grid(5)
-    anchors = sorted(g.anchor_of(w) for w in g.workstations)
+def _spy_searches(monkeypatch, g):
+    """Record (source, restricted) for every search the graph runs."""
     searches = []
     settle = g._settle
     monkeypatch.setattr(
-        g, "_settle", lambda source, *rest: searches.append(source) or settle(source, *rest)
+        g,
+        "_settle",
+        lambda source, targets, allowed, *rest: searches.append((source, allowed is not None))
+        or settle(source, targets, allowed, *rest),
     )
+    return searches
+
+
+def test_free_path_miss_searches_once_per_source(monkeypatch):
+    """The first query from a source settles its whole tree in one search;
+    every unrestricted query from it is then answered from the tree. On a
+    floor that is not exact, restricted queries search every time."""
+    g = tie_grid(5)
+    assert not g._exact
+    anchors = sorted(g.anchor_of(w) for w in g.workstations)
+    searches = _spy_searches(monkeypatch, g)
     for source in anchors:
         for target in anchors:
             g.shortest_path_points(source, {target})
-    assert searches == anchors
-    # Restricted and multi-target queries search every time.
+        g.shortest_path_points(source, set(anchors[1:]), below=50.0)
+        g.shortest_paths_to_each(source, set(anchors))
+    assert searches == [(source, False) for source in anchors]
     searches.clear()
+    everything = set(g.segments)
     for _ in range(2):
-        g.shortest_path_points(anchors[0], {anchors[1]}, set(g.segments))
-        g.shortest_path_points(anchors[0], set(anchors[1:]))
-    assert searches == [anchors[0]] * 4
+        g.shortest_path_points(anchors[0], {anchors[1]}, everything)
+        g.shortest_paths_to_each(anchors[0], set(anchors[1:]), everything)
+    assert searches == [(anchors[0], True)] * 4
+
+
+def test_exact_floor_restricted_queries_search_only_off_the_tree(monkeypatch):
+    """On an exact floor a restricted query searches only when the tree's
+    answer leaves the allowed segments, and the answer is the reference's
+    either way."""
+    g = tie_grid(5, (1, 2, 3, 100))
+    assert g._exact
+    source, *others = sorted(g.anchor_of(w) for w in g.workstations)
+    searches = _spy_searches(monkeypatch, g)
+    free = g.shortest_paths_to_each(source, set(others))
+    assert searches == [(source, False)]
+    inside = set(g.segments)
+    outside = inside - {free[others[0]].segments[-1]}
+    for allowed, searched in ((inside, []), (outside, [(source, True)] * 3)):
+        searches.clear()
+        for targets in ({others[0]}, set(others)):
+            expect = reference_dijkstra.shortest_path_points(g, source, targets, allowed)
+            assert g.shortest_path_points(source, targets, allowed) == expect
+        assert g.shortest_paths_to_each(source, set(others), allowed) == {
+            t: reference_dijkstra.shortest_path_points(g, source, {t}, allowed) for t in others
+        }
+        assert searches == searched
+
+
+def _exact_floor(kind: str, seed: int) -> FloorGraph:
+    if kind == "grid":
+        rng = random.Random(seed)
+        cols, rows = rng.randint(2, 6), rng.randint(2, 5)
+        return grid_layout(rng, cols, rows, rng.randint(2, cols * rows))
+    scale = int(kind[5:])
+    return tie_grid(seed, (scale, 2 * scale, 3 * scale, 100 * scale))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["grid", "ties-1", "ties-2", "ties-3", "ties-100"]),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_tree_answers_equal_reference_on_exact_floors(kind, seed, data):
+    """On exact floors, grids and integer near-tie grids, every answer
+    equals the reference over random allowed sets, target sets and bounds,
+    with the kept trees shared across the queries."""
+    g = _exact_floor(kind, seed)
+    assert g._exact
+    point_ids = sorted(g.points)
+    segment_ids = sorted(g.segments)
+    for _ in range(6):
+        source = data.draw(st.sampled_from(point_ids))
+        targets = data.draw(st.sets(st.sampled_from(point_ids), min_size=1, max_size=5))
+        cut = data.draw(st.none() | st.sets(st.sampled_from(segment_ids), max_size=len(segment_ids)))
+        allowed = None if cut is None else set(segment_ids) - cut
+        expect = reference_dijkstra.shortest_path_points(g, source, targets, allowed)
+        d = expect.distance if expect is not None else 50.0
+        below = data.draw(st.sampled_from([None, d, math.nextafter(d, 0.0), d + 1, d / 2]))
+        want = expect if below is None or (expect is not None and expect.distance < below) else None
+        assert g.shortest_path_points(source, targets, allowed, below=below) == want
+        each = {t: reference_dijkstra.shortest_path_points(g, source, {t}, allowed) for t in targets}
+        got = g.shortest_paths_to_each(source, targets, allowed)
+        assert got == {t: p for t, p in each.items() if p is not None}
+        assert list(got) == sorted(got, key=lambda t: (got[t].distance, got[t].points))
+
+
+def test_exact_floor_detection():
+    """A floor is exact when its lengths are integers summing below 2**53."""
+    from dynzone.datafiles import load_layout
+    from perfbench import workloads
+
+    for name in ("layout18", "fig2", "dumbbell"):
+        assert load_layout(name)._exact
+    grid48 = workloads.make_instance("dispatch-grid48", 1).layout_text
+    assert FloorGraph.from_json(json.loads(grid48))._exact
+    assert grid_layout(random.Random(0), 9, 7, 48)._exact
+    assert tie_grid(3, (1, 2, 3, 100))._exact
+    assert not any(tie_grid(seed)._exact for seed in range(8))
+
+    def line(first: float, second: float) -> FloorGraph:
+        return build_graph(
+            [("A", 0.0, 0.0, WS_ANCHOR), ("B", first, 0.0, JUNCTION),
+             ("C", first + second, 0.0, WS_ANCHOR)],
+            [("A", "B"), ("B", "C")], [(1, "A", 1.0), (2, "C", 1.0)], threshold=1,
+        )
+
+    assert line(2.0**52, 2.0**52 - 1)._exact
+    assert not line(2.0**52, 2.0**52)._exact
+    assert not line(1.0, 2.5)._exact
 
 
 def test_paths_to_each_rejects_unknown_source(line_graph):
     with pytest.raises(LayoutError):
         line_graph.shortest_paths_to_each("nowhere", {"A"})
+
+
+@pytest.mark.parametrize("allowed", [None, "all"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_unknown_target_is_refused_on_every_path(allowed, exact):
+    g = grid_layout(random.Random(3), 4, 3, 4) if exact else tie_grid(0)
+    assert g._exact is exact
+    source = g.anchor_of(min(g.workstations))
+    segments = None if allowed is None else frozenset(g.segments)
+    with pytest.raises(LayoutError, match="nowhere"):
+        g.shortest_path_points(source, {source, "nowhere"}, segments)
+    with pytest.raises(LayoutError, match="nowhere"):
+        g.shortest_path_points(source, {"nowhere"}, segments)
+    with pytest.raises(LayoutError, match="nowhere"):
+        g.shortest_paths_to_each(source, {source, "nowhere"}, segments)

@@ -32,7 +32,7 @@ from dynzone.zoning import (
     zone_load,
 )
 from tests import reference_dijkstra
-from tests.conftest import build_graph
+from tests.conftest import build_graph, left_to_right, tie_grid
 
 NO_HANDLING = HandlingTimes(0.0, 0.0)
 
@@ -720,8 +720,8 @@ def _full_matrix_load(graph, partition, zone_id, flows, velocity, handling):
             inflows[dst].append(c)
         if src in outflows:
             outflows[src].append(c)
-    inflow = {i: sum(cs) for i, cs in inflows.items()}
-    outflow = {i: sum(cs) for i, cs in outflows.items()}
+    inflow = {i: left_to_right(cs) for i, cs in inflows.items()}
+    outflow = {i: left_to_right(cs) for i, cs in outflows.items()}
     total = flows.total()
     pairs = list(d)
     if total > 0:
@@ -730,7 +730,7 @@ def _full_matrix_load(graph, partition, zone_id, flows, velocity, handling):
         g = dict.fromkeys(pairs, 0.0)
     da = {ij: g[ij] * d[ij] for ij in pairs}
     db = {(i, j): flows.get(i, j) * d[(i, j)] for i, j in pairs}
-    return (sum(da.values()) + sum(db.values())) / velocity + total * handling.total
+    return (left_to_right(da.values()) + left_to_right(db.values())) / velocity + total * handling.total
 
 
 def _designs(graph):
@@ -749,12 +749,10 @@ def _designs(graph):
 
 
 def test_sparse_load_equals_full_matrix_sum_exactly():
-    from tests.test_floorgraph import _tie_grid
-
     rng = random.Random(11)
     checked = 0
     for seed in range(40):
-        graph = _tie_grid(seed)
+        graph = tie_grid(seed)
         ws_ids = sorted(graph.workstations)
         for design in _designs(graph):
             for z in design.zones:
